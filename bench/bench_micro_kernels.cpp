@@ -12,6 +12,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <fstream>
 #include <string_view>
@@ -33,6 +34,7 @@
 #include "formats/sam.hpp"
 #include "formats/scan.hpp"
 #include "formats/vcf.hpp"
+#include "simdata/quality_model.hpp"
 #include "simdata/read_sim.hpp"
 #include "simdata/reference_gen.hpp"
 
@@ -454,6 +456,151 @@ KernelReport report_sw(const char* name, bool glocal_mode) {
   return r;
 }
 
+/// Read-extension shape: mate-1 reads from the simulator (its quality and
+/// error model, so full-length exact matches occur at their real rate)
+/// against the aligner's window, the read's truth span plus a 24-base
+/// flank on each side, at the aligner's band of 16.
+KernelReport report_sw_extend() {
+  simdata::ReadSimSpec spec;
+  spec.coverage = 6.0;
+  spec.seed = 994;
+  const auto w = simdata::make_workload(60'000, 1, spec);
+  constexpr std::int64_t kFlank = 24;
+  std::vector<SwCase> cases;
+  std::size_t exact = 0;
+  for (const auto& p : w.sample.pairs) {
+    if (cases.size() == 512) break;
+    // Names are "sim:<contig>:<refpos>:<serial>/1".
+    const std::string& name = p.first.name;
+    const std::size_t a = name.find(':', 4);
+    const std::int64_t pos = std::stoll(name.substr(a + 1));
+    const auto len = static_cast<std::int64_t>(p.first.sequence.size());
+    if (pos < kFlank) continue;
+    const std::string_view window =
+        w.reference.slice(0, pos - kFlank, len + 2 * kFlank);
+    exact += window.substr(kFlank, len) == p.first.sequence;
+    cases.push_back({p.first.sequence, std::string(window)});
+  }
+  const align::ScoringScheme scoring;
+  const int band = 16;
+
+  KernelReport r{"sw_extend", "alignments/s"};
+  const double base_s = seconds_per_call([&] {
+    for (const auto& c : cases) {
+      benchmark::DoNotOptimize(
+          align::detail::glocal_reference(c.query, c.target, scoring, band));
+    }
+  });
+  const double fast_s = seconds_per_call([&] {
+    for (const auto& c : cases) {
+      benchmark::DoNotOptimize(align::glocal(c.query, c.target, scoring, band));
+    }
+  });
+  r.baseline = static_cast<double>(cases.size()) / base_s;
+  r.optimized = static_cast<double>(cases.size()) / fast_s;
+
+  r.outputs_match = true;
+  for (const auto& c : cases) {
+    if (!same_alignment(
+            align::detail::glocal_reference(c.query, c.target, scoring, band),
+            align::glocal(c.query, c.target, scoring, band))) {
+      r.outputs_match = false;
+    }
+  }
+  std::printf("sw_extend: %zu of %zu reads match their window exactly\n",
+              exact, cases.size());
+  return r;
+}
+
+/// Active-region shape: per region, four 250-base haplotypes (reference,
+/// SNP, deletion, insertion) against 48 simulator-quality 100-base reads
+/// drawn from them with a sprinkling of substitutions.  The baseline is one
+/// scalar-kernel call per (read, haplotype) pair; the fast path scores each
+/// haplotype against the whole batch at the dispatched level.
+KernelReport report_pairhmm(const simd::Level fast) {
+  const auto& ref = bench_reference();
+  const auto profile = simdata::QualityProfile::srr622461();
+  Rng rng(995);
+  struct Region {
+    std::vector<std::string> haps;
+    std::vector<std::string> bases, quals;
+    std::vector<caller::HmmRead> reads;
+  };
+  std::vector<Region> regions(8);
+  double cells = 0;
+  for (std::size_t k = 0; k < regions.size(); ++k) {
+    Region& g = regions[k];
+    const std::string base(ref.slice(0, 20'000 + 3'000 * k, 250));
+    std::string snp = base;
+    snp[125] = snp[125] == 'A' ? 'C' : 'A';
+    std::string del = base;
+    del.erase(120, 3);
+    std::string ins = base;
+    ins.insert(130, "TTG");
+    g.haps = {base, snp, del, ins};
+    for (int r = 0; r < 48; ++r) {
+      const std::string& src = g.haps[rng.below(g.haps.size())];
+      std::string b = src.substr(rng.below(src.size() - 100), 100);
+      if (rng.below(3) == 0) b[rng.below(b.size())] = "ACGT"[rng.below(4)];
+      g.quals.push_back(profile.sample_read(rng, 100));
+      g.bases.push_back(std::move(b));
+    }
+    for (std::size_t r = 0; r < g.bases.size(); ++r) {
+      g.reads.push_back({g.bases[r], g.quals[r]});
+    }
+    for (const auto& h : g.haps) {
+      cells += static_cast<double>(h.size()) * 100.0 * 48.0;
+    }
+  }
+
+  caller::PairHmm hmm;
+  std::vector<double> column;
+  auto run_scalar = [&](Region& g, std::vector<double>& out) {
+    out.clear();
+    for (const auto& h : g.haps) {
+      for (const auto& read : g.reads) {
+        out.push_back(hmm.log10_likelihood(read.bases, read.quality, h));
+      }
+    }
+  };
+  auto run_fast = [&](Region& g, std::vector<double>& out) {
+    out.clear();
+    column.resize(g.reads.size());
+    for (const auto& h : g.haps) {
+      hmm.log10_likelihoods_at(fast, g.reads, h, column);
+      out.insert(out.end(), column.begin(), column.end());
+    }
+  };
+
+  std::vector<double> sink;
+  KernelReport r{"pairhmm", "Mcells/s"};
+  const double base_s = seconds_per_call([&] {
+    for (auto& g : regions) run_scalar(g, sink);
+    benchmark::DoNotOptimize(sink.data());
+  });
+  const double fast_s = seconds_per_call([&] {
+    for (auto& g : regions) run_fast(g, sink);
+    benchmark::DoNotOptimize(sink.data());
+  });
+  r.baseline = cells / base_s / 1e6;
+  r.optimized = cells / fast_s / 1e6;
+
+  // Bit-identical, not merely close.
+  r.outputs_match = true;
+  std::vector<double> a, b;
+  for (auto& g : regions) {
+    run_scalar(g, a);
+    run_fast(g, b);
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      if (std::bit_cast<std::uint64_t>(a[i]) !=
+          std::bit_cast<std::uint64_t>(b[i])) {
+        r.outputs_match = false;
+      }
+    }
+  }
+  return r;
+}
+
 // --- text-parsing kernels (block-parallel front-end) -----------------------
 
 /// Synthetic FASTQ with varied read lengths (crossing 64-byte block and
@@ -621,6 +768,8 @@ int run_json_harness(const std::string& path) {
   reports.push_back(report_qual_decode(fast));
   reports.push_back(report_sw("sw_banded_global", /*glocal_mode=*/false));
   reports.push_back(report_sw("sw_glocal", /*glocal_mode=*/true));
+  reports.push_back(report_sw_extend());
+  reports.push_back(report_pairhmm(fast));
   reports.push_back(report_fastq_scan(fast));
   reports.push_back(report_sam_fields(fast));
   reports.push_back(report_vcf_records(fast));

@@ -3,7 +3,9 @@
 // files.  The file-facing twin of the in-memory examples.
 //
 //   gpf_tool simulate <out_prefix> [genome_kb=100] [coverage=15]
-//       writes <p>_ref.fa <p>_1.fastq <p>_2.fastq <p>_truth.vcf
+//       writes <p>_ref.fa <p>_1.fastq <p>_2.fastq <p>_truth.vcf; a prefix
+//       starting with '-' or a non-positive or non-numeric size is a usage
+//       error (exit 2, no files written)
 //   gpf_tool align <ref.fa> <r1.fastq> <r2.fastq> <out.gbam|out.sam>
 //   gpf_tool call <ref.fa> <in.gbam|in.sam> <out.vcf> [--gvcf]
 //   gpf_tool pipeline <ref.fa> <r1.fastq> <r2.fastq> <known.vcf> <out.vcf>
@@ -18,13 +20,17 @@
 //       simulated-cluster replay of the run (pid 1); open the file in
 //       chrome://tracing or https://ui.perfetto.dev
 //   gpf_tool view <in.gbam>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <iterator>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "align/bwamem.hpp"
@@ -74,18 +80,42 @@ SamFile load_alignments(const std::string& path) {
                                   : core::load_sam_file(path);
 }
 
+/// Parses all of `text` as a positive number (no sign, spaces or trailing
+/// bytes).
+template <typename T>
+std::optional<T> parse_positive(std::string_view text) {
+  T value{};
+  const auto [ptr, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (ec != std::errc() || ptr != text.data() + text.size()) {
+    return std::nullopt;
+  }
+  if (!(value > 0) || !std::isfinite(static_cast<double>(value))) {
+    return std::nullopt;
+  }
+  return value;
+}
+
 int cmd_simulate(int argc, char** argv) {
-  if (argc < 1) {
-    std::fprintf(stderr, "usage: gpf_tool simulate <prefix> [kb] [cov]\n");
+  const auto usage = [] {
+    std::fprintf(stderr,
+                 "usage: gpf_tool simulate <prefix> [kb=100] [cov=15]\n"
+                 "  prefix must not start with '-'; kb and cov must be "
+                 "positive numbers\n");
     return 2;
+  };
+  if (argc < 1 || argc > 3 || argv[0][0] == '-' || argv[0][0] == '\0') {
+    return usage();
   }
   const std::string prefix = argv[0];
-  const std::int64_t kb = argc > 1 ? std::atoll(argv[1]) : 100;
-  const double coverage = argc > 2 ? std::atof(argv[2]) : 15.0;
+  const auto kb =
+      argc > 1 ? parse_positive<std::int64_t>(argv[1]) : std::int64_t{100};
+  const auto coverage = argc > 2 ? parse_positive<double>(argv[2]) : 15.0;
+  if (!kb || !coverage) return usage();
   simdata::ReadSimSpec spec;
-  spec.coverage = coverage;
+  spec.coverage = *coverage;
   spec.seed = 20260705;
-  const auto w = simdata::make_workload(kb * 1000, 2, spec);
+  const auto w = simdata::make_workload(*kb * 1000, 2, spec);
   core::save_fasta_file(prefix + "_ref.fa", w.reference);
   core::save_fastq_pair_files(prefix + "_1.fastq", prefix + "_2.fastq",
                               w.sample.pairs);

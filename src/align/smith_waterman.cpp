@@ -1,9 +1,13 @@
 #include "align/smith_waterman.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <vector>
+
+#include "common/simd.hpp"
 
 namespace gpf::align {
 namespace {
@@ -252,6 +256,46 @@ struct BandedDp {
   }
 };
 
+// --- perfect-match short-circuit --------------------------------------------
+//
+// Most read extensions are full-length, zero-mismatch matches; for those the
+// banded DP fills every cell only to confirm what a byte compare proves.
+// Under the scoring conditions checked below, m * match is the largest value
+// any cell can hold (each diagonal step adds at most `match`, every gap at
+// least one negative `gap_open`), no row before m can reach it, and a cell in
+// row m reaches it only at the end of an ungapped, mismatch-free diagonal.
+// The DP's strict row-major scan therefore reports the smallest such
+// diagonal, and its traceback takes kDiag on every cell of it, since any
+// gapped path scores strictly less.  So when some in-band diagonal d matches
+// the whole query, the DP's answer is exactly score m * match, CIGAR mM,
+// ref_start d, no mismatches; otherwise the DP runs as before.
+
+/// The DP's answer when the scoring meets the conditions above and some
+/// in-band diagonal matches the whole query; nullopt otherwise.  With
+/// m <= n the band's upper half-width is band + (n - m), so every d in
+/// [0, n - m] is in band.
+std::optional<AlignmentResult> perfect_match(std::string_view query,
+                                             std::string_view ref,
+                                             const ScoringScheme& s, int band) {
+  const std::size_t m = query.size();
+  if (band < 0 || m > ref.size() || s.match <= 0 || s.mismatch >= s.match ||
+      s.n_score >= s.match || s.gap_open >= 0 || s.gap_extend > 0 ||
+      query.find('N') != std::string_view::npos) {
+    return std::nullopt;
+  }
+  for (std::size_t d = 0; d + m <= ref.size(); ++d) {
+    if (std::memcmp(query.data(), ref.data() + d, m) != 0) continue;
+    AlignmentResult out;
+    out.score = static_cast<std::int32_t>(m) * s.match;
+    out.query_end = static_cast<std::int32_t>(m);
+    out.ref_start = static_cast<std::int32_t>(d);
+    out.ref_end = static_cast<std::int32_t>(d + m);
+    out.cigar = {{CigarOp::kMatch, static_cast<std::uint32_t>(m)}};
+    return out;
+  }
+  return std::nullopt;
+}
+
 // --- reference kernel -------------------------------------------------------
 //
 // The original full-matrix Gotoh DP, kept verbatim so tests can assert the
@@ -420,6 +464,9 @@ AlignmentResult banded_global(std::string_view query, std::string_view ref,
 AlignmentResult glocal(std::string_view query, std::string_view ref,
                        const ScoringScheme& scoring, int band) {
   if (query.empty() || ref.empty()) return {};
+  if (simd::active_level() != simd::Level::kScalar) {
+    if (auto hit = perfect_match(query, ref, scoring, band)) return *hit;
+  }
   BandedDp dp(query, ref, scoring, band, /*local=*/true);
   dp.run();
   if (dp.best <= 0) return {};

@@ -34,14 +34,19 @@ std::vector<VcfRecord> call_region(const ActiveRegion& region,
   if (stats != nullptr && assembly.assembled) ++stats->assembled_regions;
   if (assembly.haplotypes.size() < 2) return out;
 
-  // Pair-HMM likelihoods.
+  // Pair-HMM likelihoods, each haplotype against all region reads at once
+  // (lane-batched at the SIMD levels, bit-identical to one call per pair).
   PairHmm hmm(options.pairhmm);
+  std::vector<HmmRead> hmm_reads;
+  hmm_reads.reserve(reads.size());
+  for (const auto* r : reads) hmm_reads.push_back({r->sequence, r->quality});
   LikelihoodMatrix likelihoods(reads.size());
-  for (std::size_t r = 0; r < reads.size(); ++r) {
-    likelihoods[r].resize(assembly.haplotypes.size());
-    for (std::size_t h = 0; h < assembly.haplotypes.size(); ++h) {
-      likelihoods[r][h] = hmm.log10_likelihood(
-          reads[r]->sequence, reads[r]->quality, assembly.haplotypes[h]);
+  for (auto& row : likelihoods) row.resize(assembly.haplotypes.size());
+  std::vector<double> column(reads.size());
+  for (std::size_t h = 0; h < assembly.haplotypes.size(); ++h) {
+    hmm.log10_likelihoods(hmm_reads, assembly.haplotypes[h], column);
+    for (std::size_t r = 0; r < reads.size(); ++r) {
+      likelihoods[r][h] = column[r];
     }
   }
   if (stats != nullptr) stats->reads_processed += reads.size();

@@ -276,6 +276,167 @@ TEST(SmithWaterman, WorkspaceMatchesReferenceOnEdgeShapes) {
   EXPECT_TRUE(detail::glocal_reference("", "ACGT", {}, 4).cigar.empty());
 }
 
+// --- perfect-match short-circuit ---------------------------------------------
+//
+// glocal answers full-length, mismatch-free matches without running the DP.
+// The fuzz above always mutates its queries, so these cases cover the shapes
+// where the short-circuit can fire, and the scoring schemes where it must
+// not.
+
+std::string random_bases(Rng& rng, std::size_t n) {
+  static constexpr char kBases[] = {'A', 'C', 'G', 'T'};
+  std::string s(n, 'A');
+  for (auto& c : s) c = kBases[rng.below(4)];
+  return s;
+}
+
+void expect_glocal_matches_reference(const std::string& query,
+                                     const std::string& ref,
+                                     const ScoringScheme& scoring, int band,
+                                     const std::string& label) {
+  expect_same_alignment(glocal(query, ref, scoring, band),
+                        detail::glocal_reference(query, ref, scoring, band),
+                        label);
+}
+
+TEST(SmithWaterman, PerfectMatchAtEveryDiagonalPosition) {
+  // The aligner's window: the read plus a 24-base flank on each side, so
+  // the seed's own diagonal is d = 24 and the window's last one is d = 48.
+  Rng rng(4401);
+  const std::string ref = random_bases(rng, 148);
+  const ScoringScheme scoring;
+  for (const std::size_t d : {std::size_t{0}, std::size_t{24},
+                              std::size_t{48}, std::size_t{7}}) {
+    const std::string query = ref.substr(d, 100);
+    for (const int band : {0, 16, 24}) {
+      const std::string label =
+          "d " + std::to_string(d) + " band " + std::to_string(band);
+      expect_glocal_matches_reference(query, ref, scoring, band, label);
+      const auto r = glocal(query, ref, scoring, band);
+      EXPECT_EQ(r.score, 100) << label;
+      EXPECT_EQ(r.ref_start, static_cast<std::int32_t>(d)) << label;
+      EXPECT_EQ(cigar_to_string(r.cigar), "100M") << label;
+      EXPECT_EQ(r.mismatches, 0) << label;
+    }
+  }
+}
+
+TEST(SmithWaterman, PerfectMatchInTandemRepeatTakesSmallestDiagonal) {
+  // Periods 1-4: the query matches perfectly on several diagonals, and the
+  // DP's row-major scan keeps the smallest one.
+  const ScoringScheme scoring;
+  for (const std::string unit : {"A", "AC", "ACG", "ACGT"}) {
+    std::string ref;
+    while (ref.size() < 60) ref += unit;
+    for (const std::size_t offset : {std::size_t{0}, std::size_t{1},
+                                     std::size_t{5}}) {
+      const std::string query = ref.substr(offset, 24);
+      for (const int band : {2, 8, 24}) {
+        expect_glocal_matches_reference(
+            query, ref, scoring, band,
+            "unit " + unit + " offset " + std::to_string(offset) + " band " +
+                std::to_string(band));
+      }
+    }
+    // A unique prefix before the repeat: the first perfect diagonal is
+    // past it.
+    const std::string framed = "GTTGCATG" + ref;
+    expect_glocal_matches_reference(ref.substr(0, 20), framed, scoring, 24,
+                                    "framed unit " + unit);
+  }
+}
+
+TEST(SmithWaterman, PerfectMatchWithNBases) {
+  Rng rng(4402);
+  const ScoringScheme scoring;
+  std::string ref = random_bases(rng, 148);
+  // N in the query: the short-circuit must not fire.
+  std::string query = ref.substr(24, 100);
+  query[50] = 'N';
+  expect_glocal_matches_reference(query, ref, scoring, 24, "N in query");
+  // N in the ref off the matching diagonal, before and after it.
+  std::string ref_n = ref;
+  ref_n[3] = 'N';
+  ref_n[140] = 'N';
+  expect_glocal_matches_reference(ref.substr(24, 100), ref_n, scoring, 24,
+                                  "N in ref off diagonal");
+  // N in the ref on the only matching diagonal: no perfect match left.
+  ref_n[60] = 'N';
+  expect_glocal_matches_reference(ref.substr(24, 100), ref_n, scoring, 24,
+                                  "N in ref on diagonal");
+  // The same N in query and ref: byte-equal, but N scores n_score.
+  expect_glocal_matches_reference(ref_n.substr(24, 100), ref_n, scoring, 24,
+                                  "N in query and ref on diagonal");
+}
+
+TEST(SmithWaterman, PerfectMatchQueryLongerThanRef) {
+  Rng rng(4403);
+  const ScoringScheme scoring;
+  const std::string query = random_bases(rng, 60);
+  for (const int band : {0, 8, 24}) {
+    expect_glocal_matches_reference(query, query.substr(10, 40), scoring,
+                                    band, "prefix cut " + std::to_string(band));
+    expect_glocal_matches_reference(query, query.substr(0, 59), scoring, band,
+                                    "one short " + std::to_string(band));
+  }
+}
+
+TEST(SmithWaterman, PerfectMatchFuzzedSlices) {
+  // Exact slices at random diagonals, random bands (including 0 and the
+  // realigner's 24), random refs with sparse N.
+  Rng rng(4404);
+  const ScoringScheme scoring;
+  for (int trial = 0; trial < 300; ++trial) {
+    std::string ref = random_bases(rng, 20 + rng.below(160));
+    if (rng.below(3) == 0) ref[rng.below(ref.size())] = 'N';
+    const std::size_t m = 1 + rng.below(ref.size());
+    const std::size_t d = rng.below(ref.size() - m + 1);
+    const std::string query = ref.substr(d, m);
+    const int band = trial % 5 == 0 ? 24 : static_cast<int>(rng.below(30));
+    expect_glocal_matches_reference(query, ref, scoring, band,
+                                    "trial " + std::to_string(trial));
+  }
+}
+
+TEST(SmithWaterman, PerfectMatchFallsBackUnderOtherScoring) {
+  // Each scheme breaks one premise of the short-circuit; each case is
+  // built so that the DP's answer differs from "score m*match on the
+  // perfect diagonal".
+  Rng rng(4405);
+  const std::string ref = random_bases(rng, 80);
+  const std::string query = ref.substr(30, 20);
+  struct Case {
+    const char* name;
+    ScoringScheme scoring;
+    std::string ref;
+  };
+  // An earlier copy of the query with one base turned to N: with
+  // n_score == match it ties the perfect diagonal and comes first.
+  std::string ref_n = ref;
+  ref_n.replace(5, query.size(), query);
+  ref_n[12] = 'N';
+  const Case cases[] = {
+      {"match 0", {0, -4, -6, -1, -1}, ref},
+      {"match -1", {-1, -4, -6, -1, -1}, ref},
+      {"mismatch == match", {1, 1, -6, -1, -1}, ref},
+      {"mismatch > match", {1, 2, -6, -1, -1}, ref},
+      {"gap_open 0", {1, -4, 0, 0, -1}, ref},
+      {"gap_open > 0", {1, -4, 3, -1, -1}, ref},
+      {"gap_extend > 0", {1, -4, -1, 2, -1}, ref},
+      {"n_score == match", {1, -4, -6, -1, 1}, ref_n},
+  };
+  for (const auto& c : cases) {
+    for (const int band : {8, 24, 60}) {
+      expect_glocal_matches_reference(
+          query, c.ref, c.scoring, band,
+          std::string(c.name) + " band " + std::to_string(band));
+    }
+  }
+  // Free gaps let a gapped path reach row m at an earlier column.
+  expect_glocal_matches_reference("AC", "AGCTTAC", {1, -4, 0, 0, -1}, 8,
+                                  "free gap before the perfect diagonal");
+}
+
 TEST(SmithWaterman, CigarConsistencyProperty) {
   Rng rng(83);
   const char bases[] = {'A', 'C', 'G', 'T'};

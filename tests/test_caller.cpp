@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
 
 #include "align/bwamem.hpp"
 #include "align/fm_index.hpp"
@@ -14,6 +16,8 @@
 #include "caller/haplotype_caller.hpp"
 #include "caller/pairhmm.hpp"
 #include "cleaner/sorter.hpp"
+#include "common/rng.hpp"
+#include "common/simd.hpp"
 #include "simdata/read_sim.hpp"
 #include "simdata/reference_gen.hpp"
 #include "simdata/variant_gen.hpp"
@@ -233,6 +237,207 @@ TEST(PairHmm, LongReadNoUnderflow) {
   const double ll = hmm.log10_likelihood(read, qual, hap);
   EXPECT_TRUE(std::isfinite(ll));
   EXPECT_GT(ll, -100.0);
+}
+
+// --- lane-batched pair-HMM ---------------------------------------------------
+//
+// log10_likelihoods scores a haplotype against many reads, one read per SIMD
+// lane.  Every lane must reproduce the scalar kernel's double bit for bit,
+// at every dispatch level this CPU supports.
+
+std::vector<simd::Level> supported_levels() {
+  std::vector<simd::Level> levels = {simd::Level::kScalar};
+  if (simd::detect_level() >= simd::Level::kSse4) {
+    levels.push_back(simd::Level::kSse4);
+  }
+  if (simd::detect_level() >= simd::Level::kAvx2) {
+    levels.push_back(simd::Level::kAvx2);
+  }
+  return levels;
+}
+
+std::string random_read(Rng& rng, std::size_t n, const char* alphabet) {
+  const std::size_t k = std::strlen(alphabet);
+  std::string s(n, 'A');
+  for (auto& c : s) c = alphabet[rng.below(k)];
+  return s;
+}
+
+std::string random_quals(Rng& rng, std::size_t n) {
+  std::string q(n, 'I');
+  for (auto& c : q) c = static_cast<char>('!' + rng.below('J' - '!' + 1));
+  return q;
+}
+
+/// Batched scores at every supported level must equal the scalar kernel's,
+/// compared as bit patterns.
+void expect_batch_bit_identical(const std::vector<std::string>& bases,
+                                const std::vector<std::string>& quals,
+                                const std::string& hap,
+                                const std::string& label,
+                                PairHmmOptions options = {}) {
+  std::vector<HmmRead> reads;
+  for (std::size_t r = 0; r < bases.size(); ++r) {
+    reads.push_back({bases[r], quals[r]});
+  }
+  PairHmm scalar(options);
+  std::vector<double> expected(reads.size());
+  for (std::size_t r = 0; r < reads.size(); ++r) {
+    expected[r] = scalar.log10_likelihood(bases[r], quals[r], hap);
+  }
+  for (const simd::Level level : supported_levels()) {
+    PairHmm batched(options);
+    std::vector<double> got(reads.size(), 1.0);
+    batched.log10_likelihoods_at(level, reads, hap, got);
+    for (std::size_t r = 0; r < reads.size(); ++r) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got[r]),
+                std::bit_cast<std::uint64_t>(expected[r]))
+          << label << " level " << simd::level_name(level) << " read " << r
+          << ": " << got[r] << " vs " << expected[r];
+    }
+  }
+}
+
+TEST(PairHmmBatch, EveryBatchSizeAndTailShape) {
+  Rng rng(5101);
+  const std::string hap = random_read(rng, 180, "ACGT");
+  for (std::size_t count = 1; count <= 9; ++count) {
+    std::vector<std::string> bases, quals;
+    for (std::size_t r = 0; r < count; ++r) {
+      std::string b = hap.substr(rng.below(80), 100);
+      b[rng.below(b.size())] = "ACGT"[rng.below(4)];
+      quals.push_back(random_quals(rng, b.size()));
+      bases.push_back(std::move(b));
+    }
+    expect_batch_bit_identical(bases, quals, hap,
+                               "batch " + std::to_string(count));
+  }
+}
+
+TEST(PairHmmBatch, RaggedReadLengthsInOneRegion) {
+  Rng rng(5102);
+  const std::string hap = random_read(rng, 150, "ACGT");
+  std::vector<std::string> bases, quals;
+  for (const std::size_t len : {100, 37, 1, 100, 64, 99, 12, 150, 2, 73, 100}) {
+    const std::size_t at = rng.below(hap.size() - len + 1);
+    bases.push_back(hap.substr(at, len));
+    quals.push_back(random_quals(rng, len));
+  }
+  // An empty read scores -300 without entering the kernel.
+  bases.push_back("");
+  quals.push_back("");
+  expect_batch_bit_identical(bases, quals, hap, "ragged");
+}
+
+TEST(PairHmmBatch, NAndNonAcgtBytes) {
+  Rng rng(5103);
+  std::string hap = random_read(rng, 120, "ACGTN");
+  hap[10] = 'x';
+  hap[11] = '\xC3';
+  hap[12] = 'a';
+  std::vector<std::string> bases, quals;
+  for (int r = 0; r < 7; ++r) {
+    std::string b = random_read(rng, 90, "ACGTNNx");
+    if (r == 0) b = std::string(90, 'N');
+    if (r == 1) b[5] = '\xC3';
+    if (r == 2) b[7] = 'a';
+    bases.push_back(b);
+    quals.push_back(random_quals(rng, b.size()));
+  }
+  expect_batch_bit_identical(bases, quals, hap, "N and non-ACGTN");
+  // Every byte value, each more than once, in one haplotype.
+  std::string all_bytes(256, 'A');
+  for (int c = 0; c < 256; ++c) all_bytes[c] = static_cast<char>(c);
+  expect_batch_bit_identical(bases, quals, all_bytes + hap + all_bytes,
+                             "all 256 bytes");
+}
+
+TEST(PairHmmBatch, EveryQualityFromBangToJ) {
+  Rng rng(5104);
+  const std::string hap = random_read(rng, 140, "ACGT");
+  std::vector<std::string> bases, quals;
+  for (char q = '!'; q <= 'J'; ++q) {
+    std::string b = hap.substr(rng.below(40), 100);
+    b[rng.below(b.size())] = "ACGT"[rng.below(4)];
+    bases.push_back(std::move(b));
+    quals.push_back(std::string(100, q));
+  }
+  expect_batch_bit_identical(bases, quals, hap, "flat qualities");
+}
+
+TEST(PairHmmBatch, RescaleInSomeLanesOnly) {
+  // Random high-quality reads against a long haplotype fall below the
+  // 1e-200 rescale threshold; reads taken from the haplotype never do.
+  // Interleave the two so every batch mixes rescaled and unrescaled lanes.
+  Rng rng(5105);
+  const std::string hap = random_read(rng, 400, "ACGT");
+  std::vector<std::string> bases, quals;
+  for (int r = 0; r < 11; ++r) {
+    const std::size_t len = 150 + rng.below(100);
+    bases.push_back(r % 2 == 0 ? hap.substr(rng.below(400 - len), len)
+                               : random_read(rng, len, "ACGT"));
+    quals.push_back(std::string(len, 'J'));
+  }
+  expect_batch_bit_identical(bases, quals, hap, "mixed rescale");
+}
+
+TEST(PairHmmBatch, UnderflowingLaneScoresMinus300) {
+  // With no gap transitions (gap_open = gap_extend = 0) only the match
+  // diagonal carries mass, so a read longer than the haplotype runs out of
+  // columns and its row max hits exactly 0 while shorter lanes go on.
+  PairHmmOptions options;
+  options.gap_open = 0.0;
+  options.gap_extend = 0.0;
+  Rng rng(5106);
+  const std::string hap = random_read(rng, 20, "ACGT");
+  std::vector<std::string> bases, quals;
+  for (const std::size_t len : {10, 21, 20, 30, 5, 25, 20}) {
+    bases.push_back(random_read(rng, len, "ACGT"));
+    quals.push_back(random_quals(rng, len));
+  }
+  expect_batch_bit_identical(bases, quals, hap, "underflow", options);
+  PairHmm hmm(options);
+  EXPECT_EQ(hmm.log10_likelihood(bases[1], quals[1], hap), -300.0);
+  EXPECT_GT(hmm.log10_likelihood(bases[0], quals[0], hap), -300.0);
+}
+
+TEST(PairHmmBatch, EmptyHaplotypeAndLengthMismatch) {
+  const std::vector<std::string> bases = {"ACGT", "AC"};
+  const std::vector<std::string> quals = {"IIII", "II"};
+  expect_batch_bit_identical(bases, quals, "", "empty haplotype");
+  for (const simd::Level level : supported_levels()) {
+    PairHmm hmm;
+    const std::vector<HmmRead> bad = {{"ACGT", "IIII"}, {"ACGT", "II"}};
+    std::vector<double> out(bad.size());
+    EXPECT_THROW(hmm.log10_likelihoods_at(level, bad, "ACGTACGT", out),
+                 std::invalid_argument)
+        << simd::level_name(level);
+    std::vector<double> short_out(1);
+    EXPECT_THROW(hmm.log10_likelihoods_at(level, {}, "ACGT", short_out),
+                 std::invalid_argument)
+        << simd::level_name(level);
+  }
+}
+
+TEST(PairHmmBatch, CallRegionLikelihoodsMatchPerPairCalls) {
+  // Region-shaped input: simulated reads over a region with a SNP, scored
+  // against assembled-style haplotypes (reference and alt).
+  const Reference ref = simdata::generate_reference(
+      simdata::ReferenceSpec::genome(2'000, 1, 77));
+  const std::string ref_hap(ref.slice(0, 500, 300));
+  std::string alt_hap = ref_hap;
+  alt_hap[150] = alt_hap[150] == 'A' ? 'C' : 'A';
+  Rng rng(5107);
+  std::vector<std::string> bases, quals;
+  for (int r = 0; r < 37; ++r) {
+    const std::string& src = r % 2 == 0 ? ref_hap : alt_hap;
+    std::string b = src.substr(rng.below(200), 100);
+    if (rng.below(4) == 0) b[rng.below(b.size())] = 'N';
+    bases.push_back(std::move(b));
+    quals.push_back(random_quals(rng, 100));
+  }
+  expect_batch_bit_identical(bases, quals, ref_hap, "region ref");
+  expect_batch_bit_identical(bases, quals, alt_hap, "region alt");
 }
 
 // --- genotyper ------------------------------------------------------------------
