@@ -15,6 +15,7 @@
 #include <bit>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <string_view>
 
 #include "align/bwamem.hpp"
@@ -180,27 +181,44 @@ BENCHMARK(BM_MarkDuplicates);
 
 // --- perf-regression harness (--json mode) ---------------------------------
 
-/// Seconds per call of `fn`, min of three repetitions; the iteration count
-/// is grown until a repetition lasts at least ~100ms.
-template <typename Fn>
-double seconds_per_call(Fn&& fn) {
-  fn();  // warm-up (touches caches, trains the branch predictors)
-  std::size_t iters = 1;
-  double best;
-  for (;;) {
+/// Seconds per call of a reference and a fast implementation, timed
+/// interleaved: every repetition times one block of each back to back
+/// (alternating which goes first) and each side keeps its minimum over the
+/// repetitions.  A burst of host noise then hits both sides of a ratio
+/// alike, instead of only the side that had the whole machine to itself
+/// or not.  Each side's iteration count is grown until one block lasts at
+/// least ~20 ms.
+struct CallSeconds {
+  double base = 0.0;
+  double fast = 0.0;
+};
+
+template <typename Base, typename Fast>
+CallSeconds seconds_per_call(Base&& base, Fast&& fast) {
+  constexpr int kRepetitions = 15;
+  auto block = [](auto& fn, std::size_t iters) {
     Timer t;
     for (std::size_t i = 0; i < iters; ++i) fn();
-    const double s = t.seconds();
-    if (s >= 0.1) {
-      best = s / static_cast<double>(iters);
-      break;
+    return t.seconds() / static_cast<double>(iters);
+  };
+  auto calibrate = [&](auto& fn) {
+    fn();  // warm-up (touches caches, trains the branch predictors)
+    std::size_t iters = 1;
+    while (block(fn, iters) * static_cast<double>(iters) < 0.02) iters *= 4;
+    return iters;
+  };
+  const std::size_t base_iters = calibrate(base);
+  const std::size_t fast_iters = calibrate(fast);
+  CallSeconds best{std::numeric_limits<double>::infinity(),
+                   std::numeric_limits<double>::infinity()};
+  for (int rep = 0; rep < kRepetitions; ++rep) {
+    if (rep % 2 == 0) {
+      best.base = std::min(best.base, block(base, base_iters));
+      best.fast = std::min(best.fast, block(fast, fast_iters));
+    } else {
+      best.fast = std::min(best.fast, block(fast, fast_iters));
+      best.base = std::min(best.base, block(base, base_iters));
     }
-    iters *= 4;
-  }
-  for (int rep = 0; rep < 2; ++rep) {
-    Timer t;
-    for (std::size_t i = 0; i < iters; ++i) fn();
-    best = std::min(best, t.seconds() / static_cast<double>(iters));
   }
   return best;
 }
@@ -319,9 +337,8 @@ KernelReport report_seq_pack(const simd::Level fast) {
     }
   };
   KernelReport r{"seq_pack", "MB/s"};
-  const double base_s =
-      seconds_per_call([&] { pack_all(simd::Level::kScalar); });
-  const double fast_s = seconds_per_call([&] { pack_all(fast); });
+  const auto [base_s, fast_s] = seconds_per_call(
+      [&] { pack_all(simd::Level::kScalar); }, [&] { pack_all(fast); });
   r.baseline = bases / base_s / 1e6;
   r.optimized = bases / fast_s / 1e6;
 
@@ -362,9 +379,8 @@ KernelReport report_seq_unpack(const simd::Level fast) {
     }
   };
   KernelReport r{"seq_unpack", "MB/s"};
-  const double base_s =
-      seconds_per_call([&] { unpack_all(simd::Level::kScalar); });
-  const double fast_s = seconds_per_call([&] { unpack_all(fast); });
+  const auto [base_s, fast_s] = seconds_per_call(
+      [&] { unpack_all(simd::Level::kScalar); }, [&] { unpack_all(fast); });
   r.baseline = bases / base_s / 1e6;
   r.optimized = bases / fast_s / 1e6;
 
@@ -403,9 +419,8 @@ KernelReport report_qual_decode(const simd::Level fast) {
     }
   };
   KernelReport r{"qual_decode", "MB/s"};
-  const double base_s =
-      seconds_per_call([&] { decode_all(simd::Level::kScalar); });
-  const double fast_s = seconds_per_call([&] { decode_all(fast); });
+  const auto [base_s, fast_s] = seconds_per_call(
+      [&] { decode_all(simd::Level::kScalar); }, [&] { decode_all(fast); });
   r.baseline = chars / base_s / 1e6;
   r.optimized = chars / fast_s / 1e6;
 
@@ -440,12 +455,13 @@ KernelReport report_sw(const char* name, bool glocal_mode) {
   };
 
   KernelReport r{name, "alignments/s"};
-  const double base_s = seconds_per_call([&] {
-    for (const auto& c : cases) benchmark::DoNotOptimize(run_ref(c));
-  });
-  const double fast_s = seconds_per_call([&] {
-    for (const auto& c : cases) benchmark::DoNotOptimize(run_fast(c));
-  });
+  const auto [base_s, fast_s] = seconds_per_call(
+      [&] {
+        for (const auto& c : cases) benchmark::DoNotOptimize(run_ref(c));
+      },
+      [&] {
+        for (const auto& c : cases) benchmark::DoNotOptimize(run_fast(c));
+      });
   r.baseline = static_cast<double>(cases.size()) / base_s;
   r.optimized = static_cast<double>(cases.size()) / fast_s;
 
@@ -485,17 +501,19 @@ KernelReport report_sw_extend() {
   const int band = 16;
 
   KernelReport r{"sw_extend", "alignments/s"};
-  const double base_s = seconds_per_call([&] {
-    for (const auto& c : cases) {
-      benchmark::DoNotOptimize(
-          align::detail::glocal_reference(c.query, c.target, scoring, band));
-    }
-  });
-  const double fast_s = seconds_per_call([&] {
-    for (const auto& c : cases) {
-      benchmark::DoNotOptimize(align::glocal(c.query, c.target, scoring, band));
-    }
-  });
+  const auto [base_s, fast_s] = seconds_per_call(
+      [&] {
+        for (const auto& c : cases) {
+          benchmark::DoNotOptimize(align::detail::glocal_reference(
+              c.query, c.target, scoring, band));
+        }
+      },
+      [&] {
+        for (const auto& c : cases) {
+          benchmark::DoNotOptimize(
+              align::glocal(c.query, c.target, scoring, band));
+        }
+      });
   r.baseline = static_cast<double>(cases.size()) / base_s;
   r.optimized = static_cast<double>(cases.size()) / fast_s;
 
@@ -574,14 +592,15 @@ KernelReport report_pairhmm(const simd::Level fast) {
 
   std::vector<double> sink;
   KernelReport r{"pairhmm", "Mcells/s"};
-  const double base_s = seconds_per_call([&] {
-    for (auto& g : regions) run_scalar(g, sink);
-    benchmark::DoNotOptimize(sink.data());
-  });
-  const double fast_s = seconds_per_call([&] {
-    for (auto& g : regions) run_fast(g, sink);
-    benchmark::DoNotOptimize(sink.data());
-  });
+  const auto [base_s, fast_s] = seconds_per_call(
+      [&] {
+        for (auto& g : regions) run_scalar(g, sink);
+        benchmark::DoNotOptimize(sink.data());
+      },
+      [&] {
+        for (auto& g : regions) run_fast(g, sink);
+        benchmark::DoNotOptimize(sink.data());
+      });
   r.baseline = cells / base_s / 1e6;
   r.optimized = cells / fast_s / 1e6;
 
@@ -637,12 +656,13 @@ KernelReport report_fastq_scan(const simd::Level fast) {
   const double bytes = static_cast<double>(text.size());
 
   KernelReport r{"fastq_scan", "MB/s"};
-  const double base_s = seconds_per_call([&] {
-    benchmark::DoNotOptimize(gpf::detail::scan_fastq_reference(text));
-  });
-  const double fast_s = seconds_per_call([&] {
-    benchmark::DoNotOptimize(gpf::detail::scan_fastq_at(fast, text));
-  });
+  const auto [base_s, fast_s] = seconds_per_call(
+      [&] {
+        benchmark::DoNotOptimize(gpf::detail::scan_fastq_reference(text));
+      },
+      [&] {
+        benchmark::DoNotOptimize(gpf::detail::scan_fastq_at(fast, text));
+      });
   r.baseline = bytes / base_s / 1e6;
   r.optimized = bytes / fast_s / 1e6;
 
@@ -699,18 +719,19 @@ KernelReport report_sam_fields(const simd::Level fast) {
 
   std::vector<std::string_view> fields;
   KernelReport r{"sam_fields", "MB/s"};
-  const double base_s = seconds_per_call([&] {
-    for (const auto& line : lines) {
-      fmt::detail::split_fields_reference(line, '\t', fields);
-      benchmark::DoNotOptimize(fields.data());
-    }
-  });
-  const double fast_s = seconds_per_call([&] {
-    for (const auto& line : lines) {
-      fmt::split_fields(fast, line, '\t', fields);
-      benchmark::DoNotOptimize(fields.data());
-    }
-  });
+  const auto [base_s, fast_s] = seconds_per_call(
+      [&] {
+        for (const auto& line : lines) {
+          fmt::detail::split_fields_reference(line, '\t', fields);
+          benchmark::DoNotOptimize(fields.data());
+        }
+      },
+      [&] {
+        for (const auto& line : lines) {
+          fmt::split_fields(fast, line, '\t', fields);
+          benchmark::DoNotOptimize(fields.data());
+        }
+      });
   r.baseline = bytes / base_s / 1e6;
   r.optimized = bytes / fast_s / 1e6;
 
@@ -745,12 +766,13 @@ KernelReport report_vcf_records(const simd::Level fast) {
   const double bytes = static_cast<double>(text.size());
 
   KernelReport r{"vcf_records", "MB/s"};
-  const double base_s = seconds_per_call([&] {
-    benchmark::DoNotOptimize(gpf::detail::parse_vcf_reference(text));
-  });
-  const double fast_s = seconds_per_call([&] {
-    benchmark::DoNotOptimize(gpf::detail::parse_vcf_at(fast, text));
-  });
+  const auto [base_s, fast_s] = seconds_per_call(
+      [&] {
+        benchmark::DoNotOptimize(gpf::detail::parse_vcf_reference(text));
+      },
+      [&] {
+        benchmark::DoNotOptimize(gpf::detail::parse_vcf_at(fast, text));
+      });
   r.baseline = bytes / base_s / 1e6;
   r.optimized = bytes / fast_s / 1e6;
 

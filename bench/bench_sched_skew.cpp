@@ -13,11 +13,20 @@
 // bit-identical outputs, and a uniform layout bounds the adaptive
 // planner's overhead on the path where it must change nothing.
 //
+// The replay prices a warm model only.  A bundle-shaped real run covers
+// the cold case the pipeline hits: one record per partition (one region
+// bundle each), uneven CPU-bound work, a fresh AdaptiveScheduler.  There
+// the scheduler must keep the static layout — a cold model's placeholder
+// cost cannot justify a merge — and launch no speculative copy of busy
+// work.  Its counts are gated; wall ratios are not (they do not port
+// across runners).
+//
 //   bench_sched_skew [--json[=path]]
 //
 // --json writes a machine-readable report (default BENCH_sched.json) and
 // exits 2 when any adaptive output differs from its static twin — CI
-// gates on the skewed speedup, the uniform overhead, and outputs_match.
+// gates on the skewed speedup, the uniform overhead, the bundle case's
+// task/merge/copy counts, and outputs_match.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -42,8 +51,10 @@ constexpr std::size_t kReplaySlots = 8;
 
 /// Deterministic per-record busywork, heavy enough that a partition's
 /// cost is proportional to its record count (like per-read alignment).
-std::uint64_t churn(std::uint64_t x) {
-  for (int i = 0; i < 600; ++i) {
+/// The bundle case passes a record's own value as `rounds`, so one record
+/// carries a whole bundle's worth of work.
+std::uint64_t churn(std::uint64_t x, std::uint64_t rounds = 600) {
+  for (std::uint64_t i = 0; i < rounds; ++i) {
     x ^= x << 13;
     x ^= x >> 7;
     x ^= x << 17;
@@ -156,7 +167,32 @@ int main(int argc, char** argv) {
               astage.task_count, astage.adaptive_splits,
               astage.adaptive_merges, skew_match ? "match" : "MISMATCH");
 
-  // --- 4. Uniform layout: adaptive must fall back, near-zero overhead ----
+  // --- 4. Bundle-shaped cold run: static layout, no copies -------------
+  // 20 one-record partitions with uneven work (1-3 units), two adjacent
+  // hot spots at 20 units, like a coverage hot spot's region bundles.
+  std::vector<std::vector<std::uint64_t>> bundle_parts(20);
+  for (std::size_t p = 0; p < bundle_parts.size(); ++p) {
+    const std::uint64_t units = p == 5 || p == 6 ? 20 : 1 + p % 3;
+    bundle_parts[p] = {units * 200'000};
+  }
+  auto run_bundles = [&](engine::Engine& engine) {
+    return engine.make_dataset(bundle_parts)
+        .map("bundle", [](const std::uint64_t& x) { return churn(x, x); })
+        .partitions();
+  };
+  engine::Engine b_static({.worker_threads = 4});
+  engine::Engine b_adapt({.worker_threads = 4});
+  b_adapt.set_scheduler(std::make_shared<sched::AdaptiveScheduler>());
+  const bool bundle_match = run_bundles(b_static) == run_bundles(b_adapt);
+  const auto& bstage = b_adapt.metrics().stages().back();
+  std::printf("\nbundle layout (20 one-record partitions, cold scheduler):\n"
+              "  static %zu tasks, adaptive %zu tasks (%zu merged), %zu "
+              "speculative copies, outputs %s\n",
+              bundle_parts.size(), bstage.task_count, bstage.adaptive_merges,
+              bstage.speculative_launches,
+              bundle_match ? "match" : "MISMATCH");
+
+  // --- 5. Uniform layout: adaptive must fall back, near-zero overhead ----
   const auto uniform_parts =
       make_partitions(std::vector<std::size_t>(16, 14'000));
   engine::Engine u_static({.worker_threads = 8});
@@ -177,14 +213,14 @@ int main(int argc, char** argv) {
               static_wall, adapt_wall, u_tasks, overhead_percent,
               uniform_match ? "match" : "MISMATCH");
 
-  const bool outputs_match = skew_match && uniform_match;
+  const bool outputs_match = skew_match && bundle_match && uniform_match;
   if (!json_path.empty()) {
     std::ofstream out(json_path);
     if (!out) {
       std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
       return 1;
     }
-    char buf[512];
+    char buf[1024];
     std::snprintf(
         buf, sizeof buf,
         "{\n"
@@ -193,6 +229,9 @@ int main(int argc, char** argv) {
         "\"adaptive_makespan\": %.4f,\n"
         "    \"speedup\": %.3f, \"adopted\": %s, \"static_tasks\": %zu,\n"
         "    \"adaptive_tasks\": %zu, \"splits\": %zu, \"merges\": %zu},\n"
+        "  \"bundle\": {\"static_tasks\": %zu, \"adaptive_tasks\": %zu, "
+        "\"merges\": %zu,\n"
+        "    \"speculative_launches\": %zu},\n"
         "  \"uniform\": {\"static_seconds\": %.4f, \"adaptive_seconds\": "
         "%.4f,\n"
         "    \"overhead_percent\": %.2f, \"adaptive_tasks\": %zu},\n"
@@ -200,7 +239,9 @@ int main(int argc, char** argv) {
         "}\n",
         kReplaySlots, plan.static_makespan, plan.adaptive_makespan, speedup,
         plan.adopted ? "true" : "false", records.size(), plan.tasks.size(),
-        plan.partitions_split, plan.tasks_merged, static_wall, adapt_wall,
+        plan.partitions_split, plan.tasks_merged, bundle_parts.size(),
+        bstage.task_count, bstage.adaptive_merges, bstage.speculative_launches,
+        static_wall, adapt_wall,
         overhead_percent, u_tasks, outputs_match ? "true" : "false");
     out << buf;
     std::printf("wrote %s\n", json_path.c_str());

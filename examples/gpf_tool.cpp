@@ -12,7 +12,8 @@
 //       [--backend {inprocess,spill,distributed}] [--store-budget BYTES]
 //       [--workers N]
 //       runs on the chosen execution backend and prints a per-Process
-//       table of wall time, shuffle traffic and backend residency work
+//       table of wall time, shuffle traffic, speculative copies
+//       (launched, and won by the copy) and backend residency work
 //   gpf_tool trace <ref.fa> <r1.fastq> <r2.fastq> <known.vcf> <out.json>
 //       [sim_cores=2048]
 //       runs the pipeline with tracing on and writes a Chrome trace_event
@@ -206,17 +207,21 @@ int cmd_call(int argc, char** argv) {
 // human-readable face of PipelineReport::ProcessTiming.
 void print_process_table(const core::PipelineReport& report) {
   std::printf("\nbackend: %s\n", report.backend.c_str());
-  std::printf("%-22s %8s %6s %7s %7s %7s %10s %10s %9s %9s %8s %13s\n",
+  std::printf("%-22s %8s %6s %7s %7s %7s %10s %10s %9s %9s %8s %5s %5s "
+              "%13s\n",
               "process", "wall", "stages", "p50ms", "p95ms", "p99ms",
               "shuffle_w", "shuffle_r", "records", "spilled", "lineage",
-              "res h/m/e");
+              "spec", "won", "res h/m/e");
   std::uint64_t shuffle_w = 0, shuffle_r = 0, spilled = 0;
+  std::size_t spec_launched = 0, spec_won = 0;
   for (const auto& t : report.timings) {
     shuffle_w += t.shuffle_write_bytes;
     shuffle_r += t.shuffle_read_bytes;
     spilled += t.backend.bytes_spilled;
+    spec_launched += t.speculative_launches;
+    spec_won += t.speculative_wins;
     std::printf("%-22s %7.2fs %6zu %7.2f %7.2f %7.2f %10llu %10llu %9llu "
-                "%9llu %8llu %4llu/%llu/%llu\n",
+                "%9llu %8llu %5zu %5zu %4llu/%llu/%llu\n",
                 t.name.c_str(), t.wall_seconds, t.engine_stages, t.task_p50_ms,
                 t.task_p95_ms, t.task_p99_ms,
                 static_cast<unsigned long long>(t.shuffle_write_bytes),
@@ -225,15 +230,17 @@ void print_process_table(const core::PipelineReport& report) {
                 static_cast<unsigned long long>(t.backend.bytes_spilled),
                 static_cast<unsigned long long>(
                     t.backend.lineage_recoveries),
+                t.speculative_launches, t.speculative_wins,
                 static_cast<unsigned long long>(t.backend.residency_hits),
                 static_cast<unsigned long long>(t.backend.residency_misses),
                 static_cast<unsigned long long>(
                     t.backend.residency_evictions));
   }
-  std::printf("%-22s %40s %10llu %10llu %19llu\n", "total", "",
+  std::printf("%-22s%40s %10llu %10llu %19llu %8s %5zu %5zu\n", "total", "",
               static_cast<unsigned long long>(shuffle_w),
               static_cast<unsigned long long>(shuffle_r),
-              static_cast<unsigned long long>(spilled));
+              static_cast<unsigned long long>(spilled), "", spec_launched,
+              spec_won);
 }
 
 int cmd_pipeline(int argc, char** argv, const exec::BackendSpec& spec) {

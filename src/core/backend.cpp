@@ -170,6 +170,8 @@ void ExecutionBackend::execute(const PhysicalPlan& plan, PipelineContext& ctx,
         t.shuffle_write_bytes += stages[k].shuffle_write_bytes;
         t.shuffle_read_bytes += stages[k].shuffle_read_bytes;
         t.shuffle_records += stages[k].shuffle_records;
+        t.speculative_launches += stages[k].speculative_launches;
+        t.speculative_wins += stages[k].speculative_wins;
         for (const double sec : stages[k].task_seconds) {
           task_ms100.add(std::llround(sec * 1e5));
         }

@@ -55,6 +55,10 @@ struct PipelineReport {
     double task_p50_ms = 0.0;
     double task_p95_ms = 0.0;
     double task_p99_ms = 0.0;
+    /// Speculative copies launched by this Process's stages, and how many
+    /// of them claimed their task first.
+    std::size_t speculative_launches = 0;
+    std::size_t speculative_wins = 0;
     /// Backend-side work (spill/fetch/residency) during this Process.
     BackendStageStats backend;
   };

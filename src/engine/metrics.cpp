@@ -84,6 +84,13 @@ std::size_t EngineMetrics::total_speculative_launches() const {
   return total;
 }
 
+std::size_t EngineMetrics::total_speculative_wins() const {
+  std::lock_guard lock(mu_);
+  std::size_t total = 0;
+  for (const auto& s : stages_) total += s.speculative_wins;
+  return total;
+}
+
 std::size_t EngineMetrics::total_injected_faults() const {
   std::lock_guard lock(mu_);
   std::size_t total = 0;

@@ -42,6 +42,9 @@ struct StageMetrics {
   std::size_t failed_attempts = 0;
   /// Speculative copies launched for straggling tasks.
   std::size_t speculative_launches = 0;
+  /// Speculative copies that claimed their task before the primary did
+  /// (launches minus wins is work that bought nothing).
+  std::size_t speculative_wins = 0;
   /// Faults the injector introduced into this stage (failures, straggler
   /// delays and corrupted shuffle blocks).
   std::size_t injected_faults = 0;
@@ -81,6 +84,7 @@ class EngineMetrics {
   double total_wall_seconds() const;
   std::size_t total_failed_attempts() const;
   std::size_t total_speculative_launches() const;
+  std::size_t total_speculative_wins() const;
   std::size_t total_injected_faults() const;
 
   /// Clears all recorded stages.

@@ -26,7 +26,11 @@
 //    quantile rule may arm instead: the caller's wait loop watches
 //    running tasks and launches a copy for any task older than
 //    quantile_factor × the running median of finished tasks in the
-//    stage (durations tracked in a common/histogram).  Either way the
+//    stage (durations tracked in a common/histogram), unless the task's
+//    pool thread is computing: its CPU clock advanced by at least
+//    sched::kQuantileMaxCpuFraction of that age (sched/speculation.hpp),
+//    and a copy of busy work on the same pool cannot finish first.
+//    Either way the
 //    first finished attempt claims the task; the loser — including a
 //    straggler still parked in its injected delay, which waits on the
 //    stage's condition variable and is woken on claim or abort — is
@@ -41,12 +45,15 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <ctime>
 #include <exception>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include <pthread.h>
 
 #include "common/histogram.hpp"
 #include "common/retry.hpp"
@@ -80,6 +87,14 @@ inline std::int64_t steady_now_us() {
   return std::chrono::duration_cast<std::chrono::microseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
+}
+
+/// CPU nanoseconds consumed so far on `clock` (a thread CPU clock), or -1
+/// when it cannot be read.
+inline std::int64_t cpu_clock_ns(clockid_t clock) {
+  timespec ts{};
+  if (clock_gettime(clock, &ts) != 0) return -1;
+  return static_cast<std::int64_t>(ts.tv_sec) * 1'000'000'000 + ts.tv_nsec;
 }
 
 /// What the current exception says, for StageFailure's message.
@@ -118,23 +133,40 @@ std::vector<U> execute_stage(ThreadPool& pool, const StageExecPolicy& policy,
   std::exception_ptr error;
   std::atomic<bool> abort{false};
   auto claimed = std::make_unique<std::atomic<bool>[]>(n_tasks);
+  // Observational quantile speculation only arms without an injector:
+  // chaos runs key speculation on planned delays (below) so the counter
+  // stays deterministic under a fixed seed.
+  const sched::SpeculationPolicy& spec = policy.speculation;
+  const bool quantile_watch = spec.enabled && spec.quantile &&
+                              injector == nullptr && n_tasks > 1;
   // Quantile-rule state: when each primary started (0 = not yet, steady
   // µs otherwise), which tasks already have a speculative copy, and the
   // finished-task duration histogram (0.1 ms buckets, guarded by mu).
+  // Under the watch each primary also notes its pool thread's CPU clock
+  // and reading at start (written before started_us, which publishes it).
   auto started_us = std::make_unique<std::atomic<std::int64_t>[]>(n_tasks);
   auto spec_launched = std::make_unique<std::atomic<bool>[]>(n_tasks);
+  std::unique_ptr<clockid_t[]> cpu_clock;
+  std::unique_ptr<std::int64_t[]> cpu_start_ns;
+  if (quantile_watch) {
+    cpu_clock = std::make_unique<clockid_t[]>(n_tasks);
+    cpu_start_ns = std::make_unique<std::int64_t[]>(n_tasks);
+  }
   Histogram done_ms10;
   std::size_t done_count = 0;
   std::atomic<std::size_t> failed{0};
   std::atomic<std::size_t> retried{0};
   std::atomic<std::size_t> injected{0};
   std::atomic<std::size_t> speculative{0};
+  std::atomic<std::size_t> speculative_won{0};
   const std::string& name = stage.name;
 
   // First finished attempt claims the task and stores its result.
-  auto finish_win = [&](std::size_t i, U&& r, double seconds) {
+  auto finish_win = [&](std::size_t i, U&& r, double seconds,
+                        bool speculative_attempt) {
     bool expected = false;
     if (!claimed[i].compare_exchange_strong(expected, true)) return;
+    if (speculative_attempt) speculative_won.fetch_add(1);
     results[i] = std::move(r);
     stage.task_seconds[task_offset + i] = seconds;
     std::lock_guard lock(mu);
@@ -160,6 +192,11 @@ std::vector<U> execute_stage(ThreadPool& pool, const StageExecPolicy& policy,
 
   // The authoritative attempt loop for one task.
   auto primary = [&](std::size_t i) {
+    if (quantile_watch) {
+      const bool clock_ok =
+          pthread_getcpuclockid(pthread_self(), &cpu_clock[i]) == 0;
+      cpu_start_ns[i] = clock_ok ? detail::cpu_clock_ns(cpu_clock[i]) : -1;
+    }
     started_us[i].store(detail::steady_now_us());
     for (int attempt = 0;; ++attempt) {
       if (abort.load() || claimed[i].load()) return;
@@ -190,7 +227,7 @@ std::vector<U> execute_stage(ThreadPool& pool, const StageExecPolicy& policy,
           injector->check_attempt(name, ordinal, task_offset + i, attempt);
         }
         U r = fn(i, attempt);
-        finish_win(i, std::move(r), t.seconds());
+        finish_win(i, std::move(r), t.seconds(), /*speculative=*/false);
         return;
       } catch (...) {
         if (claimed[i].load()) return;  // a speculative copy already won
@@ -237,7 +274,7 @@ std::vector<U> execute_stage(ThreadPool& pool, const StageExecPolicy& policy,
                              /*attempt=*/-1, /*retry=*/false,
                              /*speculative=*/true);
       U r = fn(i, -1);
-      finish_win(i, std::move(r), t.seconds());
+      finish_win(i, std::move(r), t.seconds(), /*speculative=*/true);
     } catch (...) {
     }
   };
@@ -272,12 +309,16 @@ std::vector<U> execute_stage(ThreadPool& pool, const StageExecPolicy& policy,
     }
   }
 
-  // Observational quantile speculation only arms without an injector:
-  // chaos runs key speculation on planned delays (above) so the counter
-  // stays deterministic under a fixed seed.
-  const sched::SpeculationPolicy& spec = policy.speculation;
-  const bool quantile_watch = spec.enabled && spec.quantile &&
-                              injector == nullptr && n_tasks > 1;
+  // True when primary i's thread has spent at least the guard's share of
+  // its `age_us` computing: a copy of it could not finish first.  An
+  // unreadable clock counts as not computing (the plain quantile rule).
+  auto computing = [&](std::size_t i, std::int64_t age_us) {
+    const std::int64_t c0 = cpu_start_ns[i];
+    const std::int64_t c1 = c0 < 0 ? -1 : detail::cpu_clock_ns(cpu_clock[i]);
+    return c1 >= 0 && static_cast<double>(c1 - c0) >=
+                          sched::kQuantileMaxCpuFraction *
+                              static_cast<double>(age_us) * 1e3;
+  };
   {
     std::unique_lock lock(mu);
     auto done = [&] { return inflight == 0 && (open_tasks == 0 || error); };
@@ -308,7 +349,8 @@ std::vector<U> execute_stage(ThreadPool& pool, const StageExecPolicy& policy,
           if (claimed[i].load() || spec_launched[i].load()) continue;
           const std::int64_t t0 = started_us[i].load();
           if (t0 == 0) continue;  // queued, not straggling
-          if (static_cast<double>(now - t0) / 1e3 >= threshold_ms) {
+          if (static_cast<double>(now - t0) / 1e3 >= threshold_ms &&
+              !computing(i, now - t0)) {
             launch.push_back(i);
           }
         }
@@ -328,6 +370,7 @@ std::vector<U> execute_stage(ThreadPool& pool, const StageExecPolicy& policy,
   stage.failed_attempts += failed.load();
   stage.injected_faults += injected.load();
   stage.speculative_launches += speculative.load();
+  stage.speculative_wins += speculative_won.load();
   if (error) std::rethrow_exception(error);
   return results;
 }

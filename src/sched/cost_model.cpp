@@ -38,6 +38,12 @@ double CostModel::per_record_seconds(const std::string& stage) const {
   return it->second.per_record_seconds;
 }
 
+bool CostModel::observed(const std::string& stage) const {
+  std::lock_guard lock(mu_);
+  const auto it = stages_.find(stage);
+  return it != stages_.end() && it->second.executions > 0;
+}
+
 double CostModel::predict_seconds(const std::string& stage,
                                   std::size_t records) const {
   return per_record_seconds(stage) * static_cast<double>(records);

@@ -6,7 +6,9 @@
 // loops) is predicted from its own history.  A stage never seen before
 // falls back to a uniform default per-record cost — ratios between
 // partitions then reduce to record-count ratios, which is exactly the
-// signal skew-aware repartitioning needs on a cold start.
+// signal skew-aware splitting needs on a cold start.  The default's
+// absolute value means nothing, so nothing that weighs predicted seconds
+// against the per-task overhead (merging) may use it: see observed().
 #pragma once
 
 #include <cstddef>
@@ -53,6 +55,10 @@ class CostModel {
   double predict_makespan(const std::string& stage,
                           std::span<const std::size_t> task_records,
                           std::size_t slots) const;
+
+  /// True once `stage` has been folded in at least once, i.e. its
+  /// per-record cost is measured rather than the default placeholder.
+  bool observed(const std::string& stage) const;
 
   const Params& params() const { return params_; }
   std::size_t observed_stage_count() const;

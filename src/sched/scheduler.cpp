@@ -12,8 +12,15 @@ StagePlan AdaptiveScheduler::plan_stage(
   for (const std::size_t records : partition_records) {
     costs.push_back(model_.predict_seconds(stage, records));
   }
+  // Splitting compares cost ratios only, so record counts are enough.
+  // Merging weighs predicted seconds against the per-task overhead; on a
+  // cold stage those seconds are the default placeholder, which prices a
+  // one-record partition (a whole region bundle, say) at 1 µs and bundles
+  // hot spots together.  Merge only stages with a measured cost.
+  RepartitionPolicy policy = policy_;
+  if (!model_.observed(stage)) policy.merge_fraction = 0.0;
   StagePlan plan =
-      gpf::sched::plan_stage(policy_, costs, partition_records, slots,
+      gpf::sched::plan_stage(policy, costs, partition_records, slots,
                              splittable, model_.params().task_overhead_seconds);
   std::lock_guard lock(mu_);
   ++stats_.stages_planned;

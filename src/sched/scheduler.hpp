@@ -5,8 +5,9 @@
 // stage consults it before submitting tasks: the scheduler predicts
 // per-partition costs from observed history (or record counts on a cold
 // start), rewrites skewed layouts via plan_stage(), and ingests the
-// finished stage's per-task timings afterwards.  core::ExecutionBackend
-// installs one for the duration of a plan when
+// finished stage's per-task timings afterwards.  A cold stage may only be
+// split: merging needs measured seconds to weigh against task overhead.
+// core::ExecutionBackend installs one for the duration of a plan when
 // PipelineConfig::adaptive_scheduling is set, so all three backends
 // inherit the same rewrite.  Outputs are bit-identical with and without
 // a scheduler — only task granularity changes.
@@ -36,6 +37,7 @@ class AdaptiveScheduler {
   /// given record counts.  `splittable` must only be true when the stage's
   /// task function is element-wise (range outputs concatenate to the
   /// whole-partition output); partition-consuming stages may merge only.
+  /// Stages the cost model has not observed yet are never merged.
   StagePlan plan_stage(const std::string& stage,
                        std::span<const std::size_t> partition_records,
                        std::size_t slots, bool splittable);

@@ -323,6 +323,87 @@ TEST(AdaptiveEngine, PercentilesRecordedOnStages) {
   EXPECT_GE(stage.task_p99_ms, stage.task_p95_ms);
 }
 
+// --- cold-model merges and CPU-bound stragglers -----------------------------
+
+/// Deterministic CPU-bound busywork: `iters` rounds of xorshift-multiply.
+std::uint64_t spin(std::uint64_t iters) {
+  std::uint64_t x = iters | 1;
+  for (std::uint64_t i = 0; i < iters; ++i) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    x = x * 0x9e3779b97f4a7c15ULL + 1;
+  }
+  return x;
+}
+
+/// Bundle-shaped layout: `n` one-record partitions whose record is its own
+/// spin count, partition `hot` carrying `factor`× the base work.
+std::vector<std::vector<std::uint64_t>> bundle_partitions(
+    std::size_t n, std::size_t hot, std::uint64_t base, std::uint64_t factor) {
+  std::vector<std::vector<std::uint64_t>> parts(n);
+  for (std::size_t p = 0; p < n; ++p) {
+    parts[p] = {p == hot ? base * factor : base + p};
+  }
+  return parts;
+}
+
+TEST(AdaptiveEngine, ColdBundleStageKeepsStaticLayout) {
+  // One record per partition (like one RegionBundle per region
+  // partition): a record cannot be split, and on a cold model the
+  // placeholder per-record cost would price every partition far below
+  // the per-task overhead and bundle the hot one with its neighbours.
+  // Cold stages never merge, so the layout stays static; the hot task is
+  // busy computing, so the quantile rule launches no copy of it either.
+  engine::Engine plain({.worker_threads = 4});
+  engine::Engine adaptive({.worker_threads = 4});
+  adaptive.set_scheduler(std::make_shared<sched::AdaptiveScheduler>());
+  const auto parts = bundle_partitions(20, 19, 1'000'000, 20);
+  auto run = [&](engine::Engine& e) {
+    return e.make_dataset(parts)
+        .map("bundle", [](const std::uint64_t& x) { return spin(x); })
+        .partitions();
+  };
+  EXPECT_EQ(run(adaptive), run(plain));
+  const auto& stage = adaptive.metrics().stages().back();
+  EXPECT_EQ(stage.task_count, 20u);
+  EXPECT_EQ(stage.adaptive_merges, 0u);
+  EXPECT_EQ(stage.speculative_launches, 0u);
+  EXPECT_EQ(adaptive.scheduler()->stats().stages_rewritten, 0u);
+}
+
+TEST(AdaptiveEngine, WarmBundleStageStillMerges) {
+  // Once the stage has a measured per-record cost, micro-partitions are
+  // bundled again: the merge path stays live through the engine.  The
+  // modeled task overhead is set far above any per-record time a loaded
+  // host can measure for this sub-microsecond work, so the merged layout
+  // wins the makespan comparison however the timings fall.
+  engine::Engine plain({.worker_threads = 4});
+  engine::Engine adaptive({.worker_threads = 4});
+  sched::CostModel::Params model;
+  model.task_overhead_seconds = 0.01;
+  adaptive.set_scheduler(std::make_shared<sched::AdaptiveScheduler>(
+      sched::RepartitionPolicy(), model));
+  std::vector<std::vector<std::uint64_t>> parts(64);
+  for (std::size_t p = 0; p < parts.size(); ++p) parts[p] = {100 + p};
+  auto run = [&](engine::Engine& e) {
+    return e.make_dataset(parts)
+        .map("micro", [](const std::uint64_t& x) { return spin(x); })
+        .partitions();
+  };
+  const auto want = run(plain);
+  EXPECT_EQ(run(adaptive), want);  // cold: observed, not merged
+  EXPECT_EQ(adaptive.metrics().stages().back().task_count, 64u);
+  EXPECT_EQ(adaptive.metrics().stages().back().adaptive_merges, 0u);
+  ASSERT_TRUE(adaptive.scheduler()->model().observed("micro"));
+
+  EXPECT_EQ(run(adaptive), want);  // warm: merged, still bit-identical
+  const auto& stage = adaptive.metrics().stages().back();
+  EXPECT_GE(stage.adaptive_merges, 1u);
+  EXPECT_LT(stage.task_count, 64u);
+  EXPECT_GE(adaptive.scheduler()->stats().tasks_merged, 1u);
+}
+
 // --- quantile speculation ---------------------------------------------------
 
 TEST(QuantileSpeculation, LaunchesCopyForObservedStraggler) {
@@ -353,6 +434,61 @@ TEST(QuantileSpeculation, LaunchesCopyForObservedStraggler) {
   EXPECT_EQ(out, want);
   const auto& stage = e.metrics().stages().back();
   EXPECT_GE(stage.speculative_launches, 1u);
+}
+
+TEST(QuantileSpeculation, NoCopyForCpuBoundStraggler) {
+  // Same shape as the sleeping straggler above, but record 0 computes for
+  // ~20x the others instead of sleeping: its pool thread is busy, so a
+  // copy on the same pool could not finish first and none is launched.
+  engine::Engine e({.worker_threads = 4});
+  e.set_scheduler(std::make_shared<sched::AdaptiveScheduler>());
+  std::vector<std::vector<std::uint64_t>> parts(8);
+  for (std::size_t p = 0; p < parts.size(); ++p) {
+    parts[p] = {p == 0 ? 20 * 1'000'000 : 1'000'000 + p};
+  }
+  auto out = e.make_dataset(parts)
+                 .map_partitions<std::uint64_t>(
+                     "busy",
+                     [](const std::vector<std::uint64_t>& part) {
+                       return std::vector<std::uint64_t>{spin(part[0])};
+                     })
+                 .collect();
+  std::vector<std::uint64_t> want;
+  for (const auto& p : parts) want.push_back(spin(p[0]));
+  EXPECT_EQ(out, want);
+  const auto& stage = e.metrics().stages().back();
+  EXPECT_EQ(stage.speculative_launches, 0u);
+  EXPECT_EQ(stage.speculative_wins, 0u);
+}
+
+TEST(QuantileSpeculation, WinningCopyIsCounted) {
+  // The primary of task 0 blocks (sleeps) where its copy does not, so the
+  // copy claims the task.
+  engine::Engine e({.worker_threads = 4});
+  e.set_scheduler(std::make_shared<sched::AdaptiveScheduler>());
+  std::vector<std::vector<int>> parts(8);
+  for (int p = 0; p < 8; ++p) parts[static_cast<std::size_t>(p)] = {p};
+  auto out = e.make_dataset(parts)
+                 .map_partitions_ctx<int>(
+                     "blocked",
+                     [](const engine::TaskContext& ctx,
+                        const std::vector<int>& part) {
+                       const bool blocked = part[0] == 0 && ctx.attempt >= 0;
+                       std::this_thread::sleep_for(
+                           std::chrono::milliseconds(blocked ? 300 : 2));
+                       return std::vector<int>{part[0] + 100};
+                     })
+                 .collect();
+  std::sort(out.begin(), out.end());
+  const std::vector<int> want = {100, 101, 102, 103, 104, 105, 106, 107};
+  EXPECT_EQ(out, want);
+  // Task 0's copy must win; under CPU contention a 2 ms sleeper can also
+  // overstay the threshold and get a copy, so count at least, not exactly.
+  const auto& stage = e.metrics().stages().back();
+  EXPECT_GE(stage.speculative_launches, 1u);
+  EXPECT_GE(stage.speculative_wins, 1u);
+  EXPECT_LE(stage.speculative_wins, stage.speculative_launches);
+  EXPECT_EQ(e.metrics().total_speculative_wins(), stage.speculative_wins);
 }
 
 TEST(QuantileSpeculation, OffByDefaultWithoutScheduler) {
