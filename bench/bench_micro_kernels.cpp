@@ -21,6 +21,7 @@
 #include "align/bwamem.hpp"
 #include "align/fm_index.hpp"
 #include "align/smith_waterman.hpp"
+#include "align/suffix_array.hpp"
 #include "caller/pairhmm.hpp"
 #include "cleaner/markdup.hpp"
 #include "common/rng.hpp"
@@ -321,6 +322,74 @@ struct KernelReport {
   bool outputs_match = false;
 };
 
+/// Seed-lookup shape: the aligner's 19-base seeds every 11 bases of 256
+/// reads, every fourth read with one substitution so that absent seeds
+/// occur too.  The baseline finds each seed's SA interval by binary search
+/// over the suffix array and text, with no rank structure at all.
+KernelReport report_fm_search() {
+  const auto& ref = bench_reference();
+  const auto& index = bench_index();
+  std::vector<std::uint8_t> text;
+  for (std::size_t cid = 0; cid < ref.contig_count(); ++cid) {
+    for (const char b : ref.contig(static_cast<std::int32_t>(cid)).sequence) {
+      text.push_back(b == 'C' ? 2 : b == 'G' ? 3 : b == 'T' ? 4 : 1);
+    }
+    text.push_back(0);
+  }
+  const auto sa = align::build_suffix_array(text);
+
+  std::vector<std::string> seeds;
+  const auto reads = bench_reads(256);
+  for (std::size_t r = 0; r < reads.size(); ++r) {
+    std::string seq = reads[r].sequence;
+    char& mid = seq[seq.size() / 2];
+    if (r % 4 == 0) mid = mid == 'A' ? 'C' : 'A';
+    for (std::size_t off = 0; off + 19 <= seq.size(); off += 11) {
+      seeds.push_back(seq.substr(off, 19));
+    }
+  }
+  auto binary_search = [&](std::string_view seed) {
+    // Sign of (suffix at pos) vs seed, over the seed's length.
+    auto cmp = [&](std::uint32_t pos) {
+      for (std::size_t k = 0; k < seed.size(); ++k) {
+        const char b = seed[k];
+        const std::uint8_t c = b == 'A' ? 1 : b == 'C' ? 2 : b == 'G' ? 3 : 4;
+        if (pos + k >= text.size() || text[pos + k] < c) return -1;
+        if (text[pos + k] > c) return 1;
+      }
+      return 0;
+    };
+    const auto lo = std::partition_point(
+        sa.begin(), sa.end(), [&](std::uint32_t p) { return cmp(p) < 0; });
+    const auto hi = std::partition_point(
+        lo, sa.end(), [&](std::uint32_t p) { return cmp(p) <= 0; });
+    return align::SaInterval{static_cast<std::uint32_t>(lo - sa.begin()),
+                             static_cast<std::uint32_t>(hi - sa.begin())};
+  };
+
+  KernelReport r{"fm_search", "searches/s"};
+  const auto [base_s, fast_s] = seconds_per_call(
+      [&] {
+        for (const auto& s : seeds) benchmark::DoNotOptimize(binary_search(s));
+      },
+      [&] {
+        for (const auto& s : seeds) benchmark::DoNotOptimize(index.search(s));
+      });
+  r.baseline = static_cast<double>(seeds.size()) / base_s;
+  r.optimized = static_cast<double>(seeds.size()) / fast_s;
+
+  r.outputs_match = true;
+  for (const auto& s : seeds) {
+    const align::SaInterval want = binary_search(s);
+    const align::SaInterval got = index.search(s);
+    const bool same = want.empty()
+                          ? got.empty()
+                          : got.lo == want.lo && got.hi == want.hi;
+    if (!same) r.outputs_match = false;
+  }
+  return r;
+}
+
 KernelReport report_seq_pack(const simd::Level fast) {
   const auto seqs = harness_sequences(/*with_specials=*/false);
   const auto quals = harness_qualities(seqs);
@@ -475,8 +544,10 @@ KernelReport report_sw(const char* name, bool glocal_mode) {
 /// Read-extension shape: mate-1 reads from the simulator (its quality and
 /// error model, so full-length exact matches occur at their real rate)
 /// against the aligner's window, the read's truth span plus a 24-base
-/// flank on each side, at the aligner's band of 16.
-KernelReport report_sw_extend() {
+/// flank on each side, at the aligner's band of 16.  `mismatched_only`
+/// keeps the reads that differ from their window's truth span, the ones
+/// the perfect-match exit does not answer.
+KernelReport report_sw_extend(const char* name, bool mismatched_only) {
   simdata::ReadSimSpec spec;
   spec.coverage = 6.0;
   spec.seed = 994;
@@ -494,13 +565,15 @@ KernelReport report_sw_extend() {
     if (pos < kFlank) continue;
     const std::string_view window =
         w.reference.slice(0, pos - kFlank, len + 2 * kFlank);
-    exact += window.substr(kFlank, len) == p.first.sequence;
+    const bool is_exact = window.substr(kFlank, len) == p.first.sequence;
+    if (mismatched_only && is_exact) continue;
+    exact += is_exact;
     cases.push_back({p.first.sequence, std::string(window)});
   }
   const align::ScoringScheme scoring;
   const int band = 16;
 
-  KernelReport r{"sw_extend", "alignments/s"};
+  KernelReport r{name, "alignments/s"};
   const auto [base_s, fast_s] = seconds_per_call(
       [&] {
         for (const auto& c : cases) {
@@ -525,7 +598,7 @@ KernelReport report_sw_extend() {
       r.outputs_match = false;
     }
   }
-  std::printf("sw_extend: %zu of %zu reads match their window exactly\n",
+  std::printf("%s: %zu of %zu reads match their window exactly\n", name,
               exact, cases.size());
   return r;
 }
@@ -622,6 +695,10 @@ KernelReport report_pairhmm(const simd::Level fast) {
 
 // --- text-parsing kernels (block-parallel front-end) -----------------------
 
+/// Parallel-parse threshold that no input reaches: the parser runs its
+/// mask kernels on the calling thread only.
+constexpr std::size_t kOneThread = std::numeric_limits<std::size_t>::max();
+
 /// Synthetic FASTQ with varied read lengths (crossing 64-byte block and
 /// chunk boundaries at all phases).
 std::string synth_fastq_text(std::size_t target_bytes) {
@@ -650,8 +727,9 @@ KernelReport report_fastq_scan(const simd::Level fast) {
   // Validation-only scan over >=64 MB: the parse front-end (line index,
   // record grouping, structural + byte-range checks) without record
   // materialization.  The reference is the deliberately byte-at-a-time
-  // parser; the fast path adds mask kernels and, past 1 MiB, the chunked
-  // ThreadPool driver.
+  // parser; the fast path adds mask kernels.  Both sides run on one thread
+  // (kOneThread keeps the chunked ThreadPool driver off), so the ratio
+  // measures the kernel rather than the host's free cores.
   const std::string text = synth_fastq_text(std::size_t{64} << 20);
   const double bytes = static_cast<double>(text.size());
 
@@ -661,14 +739,16 @@ KernelReport report_fastq_scan(const simd::Level fast) {
         benchmark::DoNotOptimize(gpf::detail::scan_fastq_reference(text));
       },
       [&] {
-        benchmark::DoNotOptimize(gpf::detail::scan_fastq_at(fast, text));
+        benchmark::DoNotOptimize(
+            gpf::detail::scan_fastq_at(fast, text, kOneThread));
       });
   r.baseline = bytes / base_s / 1e6;
   r.optimized = bytes / fast_s / 1e6;
 
-  r.outputs_match =
-      gpf::detail::scan_fastq_reference(text) ==
-      gpf::detail::scan_fastq_at(fast, text);
+  // Both the timed single-thread path and the pipeline's chunked one.
+  const auto want = gpf::detail::scan_fastq_reference(text);
+  r.outputs_match = want == gpf::detail::scan_fastq_at(fast, text) &&
+                    want == gpf::detail::scan_fastq_at(fast, text, kOneThread);
   // Error-outcome agreement on malformed variants of the same blob.
   const std::string bad[] = {
       text + "@tail\nACGT\n+\nII\n",          // length mismatch
@@ -746,7 +826,8 @@ KernelReport report_sam_fields(const simd::Level fast) {
 }
 
 KernelReport report_vcf_records(const simd::Level fast) {
-  // Full VCF parse (field split + strict POS/QUAL + record build).
+  // Full VCF parse (field split + strict POS/QUAL + record build), both
+  // sides on one thread as in report_fastq_scan.
   Rng rng(997);
   std::string text =
       "##fileformat=VCFv4.2\n##contig=<ID=chr1,length=249000000>\n"
@@ -771,26 +852,30 @@ KernelReport report_vcf_records(const simd::Level fast) {
         benchmark::DoNotOptimize(gpf::detail::parse_vcf_reference(text));
       },
       [&] {
-        benchmark::DoNotOptimize(gpf::detail::parse_vcf_at(fast, text));
+        benchmark::DoNotOptimize(
+            gpf::detail::parse_vcf_at(fast, text, kOneThread));
       });
   r.baseline = bytes / base_s / 1e6;
   r.optimized = bytes / fast_s / 1e6;
 
   const VcfFile a = gpf::detail::parse_vcf_reference(text);
-  const VcfFile b = gpf::detail::parse_vcf_at(fast, text);
-  r.outputs_match = a == b;
+  r.outputs_match = a == gpf::detail::parse_vcf_at(fast, text) &&
+                    a == gpf::detail::parse_vcf_at(fast, text, kOneThread);
   return r;
 }
 
 int run_json_harness(const std::string& path) {
   const simd::Level fast = simd::active_level();
   std::vector<KernelReport> reports;
+  reports.push_back(report_fm_search());
   reports.push_back(report_seq_pack(fast));
   reports.push_back(report_seq_unpack(fast));
   reports.push_back(report_qual_decode(fast));
   reports.push_back(report_sw("sw_banded_global", /*glocal_mode=*/false));
   reports.push_back(report_sw("sw_glocal", /*glocal_mode=*/true));
-  reports.push_back(report_sw_extend());
+  reports.push_back(report_sw_extend("sw_extend", /*mismatched_only=*/false));
+  reports.push_back(
+      report_sw_extend("sw_extend_mismatch", /*mismatched_only=*/true));
   reports.push_back(report_pairhmm(fast));
   reports.push_back(report_fastq_scan(fast));
   reports.push_back(report_sam_fields(fast));

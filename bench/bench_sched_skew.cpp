@@ -11,7 +11,8 @@
 // measured work and does not depend on the bench machine's core count.
 // The engine then executes both layouts for real (8 workers) to verify
 // bit-identical outputs, and a uniform layout bounds the adaptive
-// planner's overhead on the path where it must change nothing.
+// planner's overhead on the path where it must change nothing (min of 21
+// rounds per side, the two sides alternating).
 //
 // The replay prices a warm model only.  A bundle-shaped real run covers
 // the cold case the pipeline hits: one record per partition (one region
@@ -32,6 +33,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -82,18 +84,11 @@ std::vector<std::vector<std::uint64_t>> run_map(
       .partitions();
 }
 
-/// Minimum wall over `rounds` runs (min-of-N resists scheduler noise).
-double min_wall(engine::Engine& engine,
-                const std::vector<std::vector<std::uint64_t>>& parts,
-                int rounds) {
-  double best = 0.0;
-  for (int r = 0; r < rounds; ++r) {
-    Timer t;
-    (void)run_map(engine, parts);
-    const double s = t.seconds();
-    if (r == 0 || s < best) best = s;
-  }
-  return best;
+double wall_seconds(engine::Engine& engine,
+                    const std::vector<std::vector<std::uint64_t>>& parts) {
+  Timer t;
+  (void)run_map(engine, parts);
+  return t.seconds();
 }
 
 }  // namespace
@@ -200,13 +195,28 @@ int main(int argc, char** argv) {
   u_adapt.set_scheduler(std::make_shared<sched::AdaptiveScheduler>());
   const bool uniform_match =
       run_map(u_static, uniform_parts) == run_map(u_adapt, uniform_parts);
-  const int kRounds = 3;
-  const double static_wall = min_wall(u_static, uniform_parts, kRounds);
-  const double adapt_wall = min_wall(u_adapt, uniform_parts, kRounds);
+  // Rounds alternate between the layouts, and which one goes first, so a
+  // burst of host load hits both sides; each side keeps its minimum.
+  const int kRounds = 21;
+  double static_wall = std::numeric_limits<double>::infinity();
+  double adapt_wall = std::numeric_limits<double>::infinity();
+  auto round = [&](engine::Engine& engine, double& best) {
+    best = std::min(best, wall_seconds(engine, uniform_parts));
+  };
+  for (int r = 0; r < kRounds; ++r) {
+    if (r % 2 == 0) {
+      round(u_static, static_wall);
+      round(u_adapt, adapt_wall);
+    } else {
+      round(u_adapt, adapt_wall);
+      round(u_static, static_wall);
+    }
+  }
   const double overhead_percent =
       static_wall > 0 ? (adapt_wall / static_wall - 1.0) * 100.0 : 0.0;
   const std::size_t u_tasks = u_adapt.metrics().stages().back().task_count;
-  std::printf("\nuniform layout (16 equal partitions, min of %d rounds):\n",
+  std::printf("\nuniform layout (16 equal partitions, min of %d alternating "
+              "rounds per side):\n",
               kRounds);
   std::printf("  static %.3fs, adaptive %.3fs (%zu tasks), overhead "
               "%+.1f%%, outputs %s\n",

@@ -23,6 +23,15 @@ std::uint8_t base_to_code(char base) {
   }
 }
 
+/// Bit count without the libgcc call that std::popcount becomes on the
+/// baseline x86-64 target this library builds for.
+std::uint32_t popcount64(std::uint64_t x) {
+  x -= (x >> 1) & 0x5555555555555555ULL;
+  x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
+  x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
+  return static_cast<std::uint32_t>((x * 0x0101010101010101ULL) >> 56);
+}
+
 }  // namespace
 
 FmIndex::FmIndex(const Reference& reference) : reference_(&reference) {
@@ -42,7 +51,7 @@ FmIndex::FmIndex(const Reference& reference) : reference_(&reference) {
   if (text.empty()) throw std::invalid_argument("FmIndex: empty reference");
 
   sa_ = build_suffix_array(text);
-  bwt_ = bwt_from_suffix_array(text, sa_);
+  rows_ = static_cast<std::uint32_t>(text.size());
 
   // C array.
   std::uint32_t counts[kAlphabet] = {};
@@ -50,36 +59,41 @@ FmIndex::FmIndex(const Reference& reference) : reference_(&reference) {
   c_[0] = 0;
   for (int c = 0; c < kAlphabet; ++c) c_[c + 1] = c_[c] + counts[c];
 
-  // Occurrence checkpoints.
-  const std::size_t blocks = bwt_.size() / kOccSample + 1;
-  occ_checkpoints_.assign(blocks * kAlphabet, 0);
-  std::uint32_t running[kAlphabet] = {};
-  for (std::size_t i = 0; i < bwt_.size(); ++i) {
-    if (i % kOccSample == 0) {
-      for (int c = 0; c < kAlphabet; ++c) {
-        occ_checkpoints_[(i / kOccSample) * kAlphabet + c] = running[c];
+  // Rank blocks, straight from the suffix array: bwt[i] = text[sa[i] - 1],
+  // wrapping to the last character.  The masks are built from compares,
+  // so the 64 text loads of a block do not wait on each other.  The last
+  // block starts at or before rows_ and carries the totals.
+  blocks_.resize(rows_ / kBlockRows + 1);
+  std::uint32_t running[kAlphabet - 1] = {};
+  for (std::size_t b = 0; b < blocks_.size(); ++b) {
+    RankBlock& block = blocks_[b];
+    std::copy(running, running + kAlphabet - 1, block.count);
+    const auto first = static_cast<std::uint32_t>(b * kBlockRows);
+    const std::uint32_t end = std::min(rows_, first + kBlockRows);
+    for (std::uint32_t i = first; i < end; ++i) {
+      const std::uint8_t code = text[sa_[i] == 0 ? rows_ - 1 : sa_[i] - 1];
+      const std::uint32_t bit = i - first;
+      for (int c = 0; c < kAlphabet - 1; ++c) {
+        block.mask[c] |= std::uint64_t{code == c + 1} << bit;
       }
     }
-    ++running[bwt_[i]];
+    for (int c = 0; c < kAlphabet - 1; ++c) {
+      running[c] += popcount64(block.mask[c]);
+    }
   }
 }
 
-std::uint8_t FmIndex::rank_code(char base) const { return base_to_code(base); }
-
 std::uint32_t FmIndex::occ(std::uint8_t code, std::uint32_t i) const {
-  const std::uint32_t block = i / kOccSample;
-  std::uint32_t count = occ_checkpoints_[block * kAlphabet + code];
-  for (std::uint32_t j = block * kOccSample; j < i; ++j) {
-    if (bwt_[j] == code) ++count;
-  }
-  return count;
+  const RankBlock& block = blocks_[i / kBlockRows];
+  const std::uint64_t below = (std::uint64_t{1} << (i % kBlockRows)) - 1;
+  return block.count[code - 1] + popcount64(block.mask[code - 1] & below);
 }
 
 SaInterval FmIndex::extend(const SaInterval& interval, char base) const {
   if (base != 'A' && base != 'C' && base != 'G' && base != 'T') {
     return {0, 0};  // N never matches
   }
-  const std::uint8_t c = rank_code(base);
+  const std::uint8_t c = base_to_code(base);
   return {c_[c] + occ(c, interval.lo), c_[c] + occ(c, interval.hi)};
 }
 

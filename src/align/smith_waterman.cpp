@@ -48,6 +48,9 @@ struct SwWorkspace {
   std::vector<std::int32_t> f_a, f_b;  // F row pair
   std::vector<std::int32_t> e_row;     // E needs only the current row
   std::vector<std::uint8_t> cells;     // banded packed traceback cells
+  // Ungapped gate: int16 substitution profiles and per-row profile offsets.
+  std::vector<std::int16_t> profile;
+  std::vector<std::uint32_t> row_offset;
 };
 
 thread_local SwWorkspace tls_sw_workspace;
@@ -296,6 +299,145 @@ std::optional<AlignmentResult> perfect_match(std::string_view query,
   return std::nullopt;
 }
 
+// --- ungapped-diagonal gate ------------------------------------------------
+//
+// Most extensions that miss the perfect-match exit differ from their window
+// by one substitution, and the DP then returns an ungapped run anyway.  The
+// gate proves that outcome, under the same scoring conditions as above,
+// from the floored ungapped recurrence U(i, j) = max(0, U(i-1, j-1) +
+// sub(i, j)), with U = 0 on row and column 0, over every in-band diagonal
+// (those where the query overhangs either end of the window included).
+// Let S be the largest U and G = m * match + gap_open.
+//  - Every DP cell holds the best score of a path into it.  A gap-free path
+//    is a diagonal run, so it scores at most U; a path with a gap has at
+//    most m diagonal steps (each at most `match`) and at least one gap (at
+//    most `gap_open`), so it scores at most G.  Hence U <= H <= max(U, G).
+//  - If S > G and S > 0, the DP's best value is S and a cell holds S in H
+//    exactly when it holds S in U, so the DP's strict row-major scan stops
+//    at the first such cell: smallest row, then smallest column, i.e.
+//    smallest diagonal.
+//  - Walking back from it while U > 0, each cell has H = U (a larger H
+//    would carry along the diagonal to a value above S), so diag equals H
+//    and wins the DP's tie order; the cell where U reaches 0 is a boundary
+//    cell or a floored one, both kStop.  So the traceback is one M run back
+//    to the last floor or boundary, and counts mismatching bytes as the DP
+//    traceback counts them.
+// Otherwise (S <= G or S <= 0) the DP runs unchanged.  The gate is an AVX2
+// kernel: int16 lanes hold 16 adjacent diagonals, and each lane keeps its
+// best value and the first row that reached it, so no scalar pass runs per
+// row.  Scores stay exact in int16 because the conditions bound every U by
+// m * match <= INT16_MAX and every sub from below by INT16_MIN.
+
+#if defined(GPF_SIMD_X86)
+__attribute__((target("avx2"))) std::optional<AlignmentResult> ungapped_gate(
+    std::string_view query, std::string_view ref, const ScoringScheme& s,
+    int band) {
+  constexpr std::int64_t kLanes = 16;
+  const auto m = static_cast<std::int64_t>(query.size());
+  const auto n = static_cast<std::int64_t>(ref.size());
+  if (band < 0 || s.match <= 0 || s.mismatch >= s.match ||
+      s.n_score >= s.match || s.gap_open >= 0 || s.gap_extend > 0 ||
+      m * s.match > std::numeric_limits<std::int16_t>::max() ||
+      s.mismatch < std::numeric_limits<std::int16_t>::min() ||
+      s.n_score < std::numeric_limits<std::int16_t>::min()) {
+    return std::nullopt;
+  }
+  // In-band diagonals d = j - i that hold at least one cell, with the band
+  // half-widths BandedDp uses.
+  const std::int64_t band_lo = band + std::max<std::int64_t>(0, m - n);
+  const std::int64_t band_hi = band + std::max<std::int64_t>(0, n - m);
+  const std::int64_t d_lo = std::max(-band_lo, 1 - m);
+  const std::int64_t d_hi = std::min(band_hi, n - 1);
+
+  // One int16 substitution row per distinct query byte, over the ref padded
+  // so that cell (i, d) of any lane reads row[i - 1 + d + pad]; padding
+  // scores INT16_MIN, which floors U to 0 off the ref's ends.
+  const std::int64_t pad = -d_lo;
+  const std::int64_t row_len = m + d_hi + kLanes + pad;
+  SwWorkspace& ws = tls_sw_workspace;
+  std::int16_t slot[256];
+  std::fill(std::begin(slot), std::end(slot), std::int16_t{-1});
+  std::int16_t slots = 0;
+  for (const char c : query) {
+    std::int16_t& sl = slot[static_cast<unsigned char>(c)];
+    if (sl < 0) sl = slots++;
+  }
+  ws.profile.assign(static_cast<std::size_t>(slots * row_len),
+                    std::numeric_limits<std::int16_t>::min());
+  for (int c = 0; c < 256; ++c) {
+    if (slot[c] < 0) continue;
+    std::int16_t* row = ws.profile.data() + slot[c] * row_len + pad;
+    for (std::int64_t k = 0; k < n; ++k) {
+      row[k] = static_cast<std::int16_t>(
+          substitution(static_cast<char>(c), ref[k], s));
+    }
+  }
+  ws.row_offset.resize(static_cast<std::size_t>(m));
+  for (std::int64_t i = 0; i < m; ++i) {
+    ws.row_offset[i] = static_cast<std::uint32_t>(
+        slot[static_cast<unsigned char>(query[i])] * row_len + i + pad);
+  }
+
+  std::int32_t best = 0;
+  std::int64_t best_i = 0, best_d = 0;
+  const __m256i zero = _mm256_setzero_si256();
+  const __m256i one = _mm256_set1_epi16(1);
+  alignas(32) std::int16_t lane_best[kLanes];
+  alignas(32) std::int16_t lane_row[kLanes];
+  for (std::int64_t d0 = d_lo; d0 <= d_hi; d0 += kLanes) {
+    // Rows holding a cell of some lane: 1 <= i + d <= n.
+    const std::int64_t i_first =
+        std::max<std::int64_t>(1, 1 - (d0 + kLanes - 1));
+    const std::int64_t i_last = std::min(m, n - d0);
+    const std::int16_t* base = ws.profile.data() + d0;
+    __m256i h = zero, top = zero, top_row = zero;
+    __m256i row = _mm256_set1_epi16(static_cast<std::int16_t>(i_first - 1));
+    for (std::int64_t i = i_first; i <= i_last; ++i) {
+      row = _mm256_add_epi16(row, one);
+      const __m256i sub = _mm256_loadu_si256(
+          reinterpret_cast<const __m256i*>(base + ws.row_offset[i - 1]));
+      h = _mm256_max_epi16(_mm256_adds_epi16(h, sub), zero);
+      top_row = _mm256_blendv_epi8(top_row, row, _mm256_cmpgt_epi16(h, top));
+      top = _mm256_max_epi16(top, h);
+    }
+    _mm256_store_si256(reinterpret_cast<__m256i*>(lane_best), top);
+    _mm256_store_si256(reinterpret_cast<__m256i*>(lane_row), top_row);
+    // Row-major first: a larger value, or the same value in an earlier
+    // row; lanes run in ascending d, so a same-row tie keeps the earlier.
+    for (std::int64_t l = 0; l < kLanes && d0 + l <= d_hi; ++l) {
+      if (lane_best[l] > best ||
+          (lane_best[l] == best && best > 0 && lane_row[l] < best_i)) {
+        best = lane_best[l];
+        best_i = lane_row[l];
+        best_d = d0 + l;
+      }
+    }
+  }
+  if (best <= 0 || best <= static_cast<std::int64_t>(m) * s.match +
+                                 s.gap_open) {
+    return std::nullopt;
+  }
+
+  AlignmentResult out;
+  out.score = best;
+  out.query_end = static_cast<std::int32_t>(best_i);
+  out.ref_end = static_cast<std::int32_t>(best_i + best_d);
+  std::int64_t i = best_i;
+  std::int32_t u = best;
+  while (u > 0 && i > 0 && i + best_d > 0) {
+    const char qc = query[i - 1];
+    const char rc = ref[i + best_d - 1];
+    u -= substitution(qc, rc, s);
+    if (qc != rc) ++out.mismatches;
+    --i;
+  }
+  out.query_start = static_cast<std::int32_t>(i);
+  out.ref_start = static_cast<std::int32_t>(i + best_d);
+  out.cigar = {{CigarOp::kMatch, static_cast<std::uint32_t>(best_i - i)}};
+  return out;
+}
+#endif
+
 // --- reference kernel -------------------------------------------------------
 //
 // The original full-matrix Gotoh DP, kept verbatim so tests can assert the
@@ -464,9 +606,15 @@ AlignmentResult banded_global(std::string_view query, std::string_view ref,
 AlignmentResult glocal(std::string_view query, std::string_view ref,
                        const ScoringScheme& scoring, int band) {
   if (query.empty() || ref.empty()) return {};
-  if (simd::active_level() != simd::Level::kScalar) {
+  const simd::Level level = simd::active_level();
+  if (level != simd::Level::kScalar) {
     if (auto hit = perfect_match(query, ref, scoring, band)) return *hit;
   }
+#if defined(GPF_SIMD_X86)
+  if (level == simd::Level::kAvx2) {
+    if (auto hit = ungapped_gate(query, ref, scoring, band)) return *hit;
+  }
+#endif
   BandedDp dp(query, ref, scoring, band, /*local=*/true);
   dp.run();
   if (dp.best <= 0) return {};

@@ -129,6 +129,164 @@ TEST(FmIndex, CrossContigMatchesExcluded) {
   EXPECT_FALSE(index.search("GGGG").empty());
 }
 
+// Rank-block checks: every interval and every occ value against a sorted
+// suffix array of the same concatenated text, searched by binary search.
+// Nothing here reads the index's rank blocks.
+
+std::uint8_t base_code(char b) {
+  switch (b) {
+    case 'C':
+      return 2;
+    case 'G':
+      return 3;
+    case 'T':
+      return 4;
+    default:
+      return 1;  // A, and N indexed as A
+  }
+}
+
+/// The index's text: contig codes, each contig followed by a 0.
+std::vector<std::uint8_t> index_text(const Reference& ref) {
+  std::vector<std::uint8_t> text;
+  for (std::size_t cid = 0; cid < ref.contig_count(); ++cid) {
+    for (const char b : ref.contig(static_cast<std::int32_t>(cid)).sequence) {
+      text.push_back(base_code(b));
+    }
+    text.push_back(0);
+  }
+  return text;
+}
+
+/// Rows of `sa` whose suffix starts with `pattern` (ACGT only).
+SaInterval sa_binary_search(const std::vector<std::uint8_t>& text,
+                            const std::vector<std::uint32_t>& sa,
+                            std::string_view pattern) {
+  std::vector<std::uint8_t> codes;
+  for (const char b : pattern) codes.push_back(base_code(b));
+  // -1: suffix sorts before every suffix starting with the pattern; 0:
+  // starts with it; 1: sorts after.
+  auto cmp = [&](std::uint32_t pos) {
+    for (std::size_t k = 0; k < codes.size(); ++k) {
+      if (pos + k >= text.size() || text[pos + k] < codes[k]) return -1;
+      if (text[pos + k] > codes[k]) return 1;
+    }
+    return 0;
+  };
+  const auto lo = std::partition_point(
+      sa.begin(), sa.end(), [&](std::uint32_t p) { return cmp(p) < 0; });
+  const auto hi = std::partition_point(
+      lo, sa.end(), [&](std::uint32_t p) { return cmp(p) <= 0; });
+  return {static_cast<std::uint32_t>(lo - sa.begin()),
+          static_cast<std::uint32_t>(hi - sa.begin())};
+}
+
+void expect_same_interval(const SaInterval& fm, const SaInterval& want,
+                          std::string_view pattern) {
+  if (want.empty()) {
+    EXPECT_TRUE(fm.empty()) << pattern;
+  } else {
+    EXPECT_EQ(fm.lo, want.lo) << pattern;
+    EXPECT_EQ(fm.hi, want.hi) << pattern;
+  }
+}
+
+Reference random_reference(Rng& rng, const std::vector<std::size_t>& lengths) {
+  static constexpr char kBases[] = {'A', 'C', 'G', 'T'};
+  std::vector<FastaContig> contigs;
+  for (std::size_t c = 0; c < lengths.size(); ++c) {
+    std::string seq(lengths[c], 'A');
+    for (auto& b : seq) b = kBases[rng.below(4)];
+    contigs.push_back({"c" + std::to_string(c), std::move(seq)});
+  }
+  return Reference(std::move(contigs));
+}
+
+TEST(FmIndex, EveryShortKmerMatchesSuffixArraySearch) {
+  Rng rng(7301);
+  // Text lengths 256 (a whole number of 64-row blocks), 255, 257 and 316.
+  for (const auto& lengths :
+       std::vector<std::vector<std::size_t>>{{100, 90, 63},
+                                             {100, 90, 62},
+                                             {100, 90, 64},
+                                             {100, 91, 122}}) {
+    const Reference ref = random_reference(rng, lengths);
+    const FmIndex index(ref);
+    const auto text = index_text(ref);
+    ASSERT_EQ(index.text_length(), text.size());
+    const auto sa = naive_suffix_array(text);
+    bool reached_end = false;
+    std::string kmer;
+    for (std::size_t k = 1; k <= 6; ++k) {
+      for (std::size_t code = 0; code < (std::size_t{1} << (2 * k)); ++code) {
+        kmer.clear();
+        for (std::size_t p = 0; p < k; ++p) {
+          kmer.push_back("ACGT"[(code >> (2 * p)) & 3]);
+        }
+        const SaInterval fm = index.search(kmer);
+        expect_same_interval(fm, sa_binary_search(text, sa, kmer), kmer);
+        reached_end = reached_end || (!fm.empty() && fm.hi == text.size());
+      }
+    }
+    // The largest present k-mer's interval ends at text_length().
+    EXPECT_TRUE(reached_end) << text.size();
+  }
+}
+
+TEST(FmIndex, OccAtEveryRowMatchesBwtCount) {
+  // extend() on the empty interval {i, i} returns C[c] + occ(c, i) twice,
+  // so this reads occ at every row, every block edge and text_length().
+  Rng rng(7302);
+  for (const auto& lengths :
+       std::vector<std::vector<std::size_t>>{{100, 90, 63}, {100, 91, 122}}) {
+    const Reference ref = random_reference(rng, lengths);
+    const FmIndex index(ref);
+    const auto text = index_text(ref);
+    const auto sa = naive_suffix_array(text);
+    for (const char base : {'A', 'C', 'G', 'T'}) {
+      const std::uint8_t code = base_code(base);
+      std::uint32_t smaller = 0;  // C[code]: text symbols below code
+      for (const std::uint8_t c : text) smaller += c < code ? 1 : 0;
+      std::uint32_t occ = 0;
+      for (std::uint32_t i = 0; i <= text.size(); ++i) {
+        const SaInterval iv = index.extend({i, i}, base);
+        ASSERT_EQ(iv.lo, smaller + occ) << base << " row " << i;
+        ASSERT_EQ(iv.hi, smaller + occ) << base << " row " << i;
+        if (i < text.size()) {
+          const std::size_t prev = sa[i] == 0 ? text.size() - 1 : sa[i] - 1;
+          occ += text[prev] == code ? 1 : 0;
+        }
+      }
+    }
+  }
+}
+
+TEST(FmIndex, SampledReadSeedsMatchSuffixArraySearch) {
+  const Reference ref = small_reference();
+  const FmIndex index(ref);
+  const auto text = index_text(ref);
+  std::vector<std::uint32_t> sa(text.size());
+  std::iota(sa.begin(), sa.end(), 0);
+  std::sort(sa.begin(), sa.end(), [&](std::uint32_t a, std::uint32_t b) {
+    return std::lexicographical_compare(text.begin() + a, text.end(),
+                                        text.begin() + b, text.end());
+  });
+  static constexpr char kBases[] = {'A', 'C', 'G', 'T'};
+  Rng rng(7303);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const auto cid = static_cast<std::int32_t>(rng.below(ref.contig_count()));
+    const auto& seq = ref.contig(cid).sequence;
+    std::string seed = seq.substr(rng.below(seq.size() - 19), 19);
+    for (auto& b : seed) {
+      if (b == 'N') b = 'A';
+    }
+    // Every fourth seed carries a read error, so absent seeds occur too.
+    if (trial % 4 == 0) seed[rng.below(19)] = kBases[rng.below(4)];
+    expect_same_interval(index.search(seed), sa_binary_search(text, sa, seed),
+                         seed);
+  }
+}
+
 // --- Smith-Waterman ---------------------------------------------------------
 
 TEST(SmithWaterman, PerfectMatchGlobal) {
@@ -435,6 +593,221 @@ TEST(SmithWaterman, PerfectMatchFallsBackUnderOtherScoring) {
   // Free gaps let a gapped path reach row m at an earlier column.
   expect_glocal_matches_reference("AC", "AGCTTAC", {1, -4, 0, 0, -1}, 8,
                                   "free gap before the perfect diagonal");
+}
+
+// --- ungapped-diagonal gate ------------------------------------------------
+//
+// With AVX2, glocal answers extensions whose best ungapped diagonal beats
+// every gapped path (score above m * match + gap_open) without the DP.
+// These cases put that bound, its S > 0 guard and its row-major tie order
+// where a wrong answer would show.
+
+std::string with_substitution(std::string s, std::size_t at) {
+  s[at] = s[at] == 'A' ? 'C' : 'A';
+  return s;
+}
+
+TEST(SmithWaterman, UngappedGateOneMismatchAtEveryPosition) {
+  // The aligner's shape: a 100-base read, its window with a 24-base flank
+  // each side.  A mismatch in the first or last four bases is clipped
+  // (a tie at the fifth), anywhere else it stays inside a 100M.
+  Rng rng(4501);
+  const ScoringScheme scoring;
+  const std::string ref = random_bases(rng, 148);
+  const std::string read = ref.substr(24, 100);
+  for (std::size_t at = 0; at < read.size(); ++at) {
+    const std::string query = with_substitution(read, at);
+    for (const int band : {0, 16}) {
+      expect_glocal_matches_reference(
+          query, ref, scoring, band,
+          "mismatch at " + std::to_string(at) + " band " +
+              std::to_string(band));
+    }
+  }
+  // Two mismatches: still ungapped when far apart, so the bound decides.
+  for (std::size_t at = 0; at + 10 < read.size(); at += 7) {
+    const std::string query =
+        with_substitution(with_substitution(read, at), at + 10);
+    expect_glocal_matches_reference(query, ref, scoring, 16,
+                                    "mismatches at " + std::to_string(at) +
+                                        "+10");
+  }
+}
+
+TEST(SmithWaterman, UngappedGateWithNBases) {
+  Rng rng(4502);
+  const ScoringScheme scoring;
+  const std::string ref = random_bases(rng, 148);
+  for (const std::size_t at : {std::size_t{0}, std::size_t{3}, std::size_t{50},
+                               std::size_t{99}}) {
+    std::string query = ref.substr(24, 100);
+    query[at] = 'N';
+    expect_glocal_matches_reference(query, ref, scoring, 16,
+                                    "N in query at " + std::to_string(at));
+    std::string ref_n = ref;
+    ref_n[24 + at] = 'N';
+    expect_glocal_matches_reference(ref.substr(24, 100), ref_n, scoring, 16,
+                                    "N in ref at " + std::to_string(at));
+    // The same N on both sides: byte-equal, so no mismatch in the count,
+    // but scored n_score.
+    expect_glocal_matches_reference(ref_n.substr(24, 100), ref_n, scoring, 16,
+                                    "N in both at " + std::to_string(at));
+  }
+}
+
+TEST(SmithWaterman, UngappedGateQueryOverhangsWindow) {
+  // The read starts before the window or ends after it: its best diagonal
+  // is below 0 or above n - m, and only part of the query aligns.
+  Rng rng(4503);
+  const ScoringScheme scoring;
+  const std::string genome = random_bases(rng, 300);
+  const std::string read = genome.substr(100, 100);
+  // With band 4 the band's edge diagonals are -4 and 14 (n - m = 10):
+  // shifts 4 and -14 put the read on them, overhanging by 4 bases.
+  for (const int shift : {-20, -14, -9, -1, 1, 4, 9, 20}) {
+    // Window [100 + shift, 100 + shift + 110): a positive shift cuts the
+    // read's start, a shift below -10 its end.
+    const std::string window = genome.substr(
+        static_cast<std::size_t>(100 + shift), 110);
+    for (const int band : {4, 16, 24}) {
+      const std::string label = "shift " + std::to_string(shift) + " band " +
+                                std::to_string(band);
+      expect_glocal_matches_reference(read, window, scoring, band, label);
+      expect_glocal_matches_reference(with_substitution(read, 60), window,
+                                      scoring, band, label + " mismatch");
+    }
+  }
+  // Window shorter than the read.
+  expect_glocal_matches_reference(read, genome.substr(110, 80), scoring, 8,
+                                  "window inside read");
+  expect_glocal_matches_reference(with_substitution(read, 40),
+                                  genome.substr(90, 90), scoring, 8,
+                                  "read longer, mismatch");
+}
+
+TEST(SmithWaterman, UngappedGateTiesTakeFirstRowThenSmallestDiagonal) {
+  const ScoringScheme scoring;
+  // Tandem repeats: equal scores on every period-shifted diagonal, reached
+  // in the same row.
+  for (const std::string unit : {"AC", "ACG", "ACGT", "AACGT"}) {
+    std::string ref;
+    while (ref.size() < 90) ref += unit;
+    for (const std::size_t offset : {std::size_t{0}, std::size_t{1}}) {
+      const std::string read = ref.substr(offset, 40);
+      for (const std::size_t at : {std::size_t{2}, std::size_t{20},
+                                   std::size_t{37}}) {
+        for (const int band : {8, 24}) {
+          expect_glocal_matches_reference(
+              with_substitution(read, at), ref, scoring, band,
+              "unit " + unit + " offset " + std::to_string(offset) +
+                  " mismatch " + std::to_string(at) + " band " +
+                  std::to_string(band));
+        }
+      }
+    }
+  }
+  // Equal best scores in different rows: the smaller diagonal holds its
+  // run in the read's suffix (reached in row m), the larger one in the
+  // prefix (reached in row m - 1).  The DP takes the earlier row.
+  Rng rng(4504);
+  const std::string read = random_bases(rng, 40);
+  const std::string window = with_substitution(read, 0) + random_bases(rng, 7) +
+                             with_substitution(read, 39);
+  expect_glocal_matches_reference(read, window, scoring, 60,
+                                  "prefix run on the larger diagonal");
+  const auto r = glocal(read, window, scoring, 60);
+  EXPECT_EQ(r.score, 39);
+  EXPECT_EQ(r.ref_start, 47);
+  EXPECT_EQ(r.query_end, 39);
+}
+
+TEST(SmithWaterman, UngappedGateBoundIsStrict) {
+  // S == m * match + gap_open: a gapped path (20M1D20M, all bases
+  // matching) ties the best ungapped run, and reaches it earlier in
+  // row-major order.  The gate must leave this to the DP.
+  Rng rng(4505);
+  const ScoringScheme scoring;  // match 1, gap_open -6: bound m - 6 = 34
+  const std::string read = random_bases(rng, 40);
+  const char extra = read[20] == 'A' ? 'C' : 'A';
+  std::string flank = read.substr(0, 6);
+  for (auto& c : flank) c = c == 'G' ? 'T' : 'G';  // floors the run start
+  const std::string window = read.substr(0, 20) + extra + read.substr(20) +
+                             random_bases(rng, 5) + flank + read.substr(6);
+  expect_glocal_matches_reference(read, window, scoring, 60, "bound tie");
+  const auto r = glocal(read, window, scoring, 60);
+  EXPECT_EQ(r.score, 34);
+  EXPECT_EQ(cigar_to_string(r.cigar), "20M1D20M");
+}
+
+TEST(SmithWaterman, UngappedGateShortQueriesBelowTheBound) {
+  // m * match + gap_open <= 0 for m <= 6: a zero best must stay empty.
+  Rng rng(4506);
+  const ScoringScheme scoring;
+  expect_glocal_matches_reference("AAAA", "TTTT", scoring, 4, "no match");
+  expect_glocal_matches_reference("ACGTAC", "GTGTGTGT", scoring, 4,
+                                  "one-base hits");
+  // Two one-base hits, the first in row-major order on the lowest
+  // diagonal d = 1 - m, a single cell.
+  expect_glocal_matches_reference("GGGGA", "ATTTA", scoring, 8,
+                                  "hit on the lowest diagonal");
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::string query = random_bases(rng, 1 + rng.below(8));
+    const std::string ref = random_bases(rng, 1 + rng.below(12));
+    expect_glocal_matches_reference(query, ref, scoring,
+                                    static_cast<int>(rng.below(6)),
+                                    "trial " + std::to_string(trial));
+  }
+}
+
+TEST(SmithWaterman, UngappedGateFuzzedReads) {
+  // Reads with 1-3 substitutions, sometimes an indel or an N, in windows
+  // of the aligner's shape or cut short, at several bands.
+  Rng rng(4507);
+  const ScoringScheme scoring;
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::string ref = random_bases(rng, 60 + rng.below(120));
+    const std::size_t m = 20 + rng.below(ref.size() - 19);
+    std::string query = ref.substr(rng.below(ref.size() - m + 1), m);
+    const std::size_t subs = 1 + rng.below(3);
+    for (std::size_t k = 0; k < subs; ++k) {
+      query = with_substitution(query, rng.below(query.size()));
+    }
+    if (rng.below(5) == 0) query.erase(rng.below(query.size() - 1), 1);
+    if (rng.below(8) == 0) query[rng.below(query.size())] = 'N';
+    const int band = static_cast<int>(rng.below(30));
+    expect_glocal_matches_reference(query, ref, scoring, band,
+                                    "trial " + std::to_string(trial));
+  }
+}
+
+TEST(SmithWaterman, UngappedGateFallsBackUnderOtherScoring) {
+  // Schemes that void the bound, or leave int16 range, take the DP.
+  Rng rng(4508);
+  const std::string ref = random_bases(rng, 80);
+  const std::string query = with_substitution(ref.substr(20, 40), 25);
+  const ScoringScheme schemes[] = {
+      {0, -4, -6, -1, -1},     {1, 1, -6, -1, -1},  {1, -4, 0, 0, -1},
+      {1, -4, -6, 2, -1},      {1, -4, -6, -1, 1},  {2, -3, -5, -2, -1},
+      {900, -4, -6, -1, -1},   {1, -40000, -6, -1, -1},
+      {1, -4, -6, -1, -40000},
+  };
+  // Scores past int16: a 41-base read with an N scores 40 * 820 - 1 =
+  // 32799 on its diagonal, above the bound 41 * 820 - 2000.
+  const std::string long_read = ref.substr(20, 41);
+  std::string read_n = long_read;
+  read_n[0] = 'N';
+  expect_glocal_matches_reference(read_n, ref, {820, -4, -2000, -1, -1}, 8,
+                                  "beyond int16");
+  for (const auto& sc : schemes) {
+    for (const int band : {8, 24}) {
+      expect_glocal_matches_reference(
+          query, ref, sc, band,
+          "scheme " + std::to_string(sc.match) + "/" +
+              std::to_string(sc.mismatch) + "/" + std::to_string(sc.gap_open) +
+              "/" + std::to_string(sc.gap_extend) + "/" +
+              std::to_string(sc.n_score) + " band " + std::to_string(band));
+    }
+  }
 }
 
 TEST(SmithWaterman, CigarConsistencyProperty) {
