@@ -603,17 +603,23 @@ KernelReport report_sw_extend(const char* name, bool mismatched_only) {
   return r;
 }
 
-/// Active-region shape: per region, four 250-base haplotypes (reference,
-/// SNP, deletion, insertion) against 48 simulator-quality 100-base reads
-/// drawn from them with a sprinkling of substitutions.  The baseline is one
-/// scalar-kernel call per (read, haplotype) pair; the fast path scores each
-/// haplotype against the whole batch at the dispatched level.
-KernelReport report_pairhmm(const simd::Level fast) {
+/// Active-region shape: per region, four haplotypes (reference, and a SNP,
+/// a deletion and an insertion in the middle, so each shares about half
+/// its bases as a prefix with the reference) against 48 simulator-quality
+/// 100-base reads drawn from them with a sprinkling of substitutions.
+/// `pairhmm` uses 250-base haplotypes, `pairhmm_long` 400-550-base ones.
+/// The baseline is one scalar-kernel call per (read, haplotype) pair; the
+/// fast path scores the whole region in one call at the dispatched level.
+/// Cells count every (read, haplotype) DP cell, including those the fast
+/// path takes from a shared prefix instead of computing.
+KernelReport report_pairhmm(const char* name, const simd::Level fast,
+                            std::size_t min_len, std::size_t max_len) {
   const auto& ref = bench_reference();
   const auto profile = simdata::QualityProfile::srr622461();
   Rng rng(995);
   struct Region {
     std::vector<std::string> haps;
+    std::vector<std::string_view> views;
     std::vector<std::string> bases, quals;
     std::vector<caller::HmmRead> reads;
   };
@@ -621,14 +627,19 @@ KernelReport report_pairhmm(const simd::Level fast) {
   double cells = 0;
   for (std::size_t k = 0; k < regions.size(); ++k) {
     Region& g = regions[k];
-    const std::string base(ref.slice(0, 20'000 + 3'000 * k, 250));
+    const std::size_t len =
+        max_len > min_len ? min_len + rng.below(max_len - min_len + 1)
+                          : min_len;
+    const std::size_t mid = len / 2;
+    const std::string base(ref.slice(0, 20'000 + 3'000 * k, len));
     std::string snp = base;
-    snp[125] = snp[125] == 'A' ? 'C' : 'A';
+    snp[mid] = snp[mid] == 'A' ? 'C' : 'A';
     std::string del = base;
-    del.erase(120, 3);
+    del.erase(mid - 5, 3);
     std::string ins = base;
-    ins.insert(130, "TTG");
+    ins.insert(mid + 5, "TTG");
     g.haps = {base, snp, del, ins};
+    g.views.assign(g.haps.begin(), g.haps.end());
     for (int r = 0; r < 48; ++r) {
       const std::string& src = g.haps[rng.below(g.haps.size())];
       std::string b = src.substr(rng.below(src.size() - 100), 100);
@@ -645,7 +656,7 @@ KernelReport report_pairhmm(const simd::Level fast) {
   }
 
   caller::PairHmm hmm;
-  std::vector<double> column;
+  std::vector<double> scores;
   auto run_scalar = [&](Region& g, std::vector<double>& out) {
     out.clear();
     for (const auto& h : g.haps) {
@@ -654,17 +665,20 @@ KernelReport report_pairhmm(const simd::Level fast) {
       }
     }
   };
+  // Same [haplotype][read] order as run_scalar.
   auto run_fast = [&](Region& g, std::vector<double>& out) {
-    out.clear();
-    column.resize(g.reads.size());
-    for (const auto& h : g.haps) {
-      hmm.log10_likelihoods_at(fast, g.reads, h, column);
-      out.insert(out.end(), column.begin(), column.end());
+    scores.resize(g.reads.size() * g.haps.size());
+    hmm.log10_likelihoods_at(fast, g.reads, g.views, scores);
+    out.resize(scores.size());
+    for (std::size_t r = 0; r < g.reads.size(); ++r) {
+      for (std::size_t h = 0; h < g.haps.size(); ++h) {
+        out[h * g.reads.size() + r] = scores[r * g.haps.size() + h];
+      }
     }
   };
 
   std::vector<double> sink;
-  KernelReport r{"pairhmm", "Mcells/s"};
+  KernelReport r{name, "Mcells/s"};
   const auto [base_s, fast_s] = seconds_per_call(
       [&] {
         for (auto& g : regions) run_scalar(g, sink);
@@ -876,7 +890,8 @@ int run_json_harness(const std::string& path) {
   reports.push_back(report_sw_extend("sw_extend", /*mismatched_only=*/false));
   reports.push_back(
       report_sw_extend("sw_extend_mismatch", /*mismatched_only=*/true));
-  reports.push_back(report_pairhmm(fast));
+  reports.push_back(report_pairhmm("pairhmm", fast, 250, 250));
+  reports.push_back(report_pairhmm("pairhmm_long", fast, 400, 550));
   reports.push_back(report_fastq_scan(fast));
   reports.push_back(report_sam_fields(fast));
   reports.push_back(report_vcf_records(fast));

@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
     auto sample = simdata::simulate_reads(reference, donor, read_spec);
     std::printf("sample S%d: %zu pairs, %zu donor variants\n", s + 1,
                 sample.pairs.size(), truth.size());
-    samples.push_back({"S" + std::to_string(s + 1),
+    samples.push_back({std::string("S").append(std::to_string(s + 1)),
                        std::move(sample.pairs)});
   }
 

@@ -69,13 +69,4 @@ std::vector<std::uint32_t> build_suffix_array(
   return sa;
 }
 
-std::vector<std::uint8_t> bwt_from_suffix_array(
-    std::span<const std::uint8_t> text, std::span<const std::uint32_t> sa) {
-  std::vector<std::uint8_t> bwt(text.size());
-  for (std::size_t i = 0; i < sa.size(); ++i) {
-    bwt[i] = sa[i] == 0 ? text[text.size() - 1] : text[sa[i] - 1];
-  }
-  return bwt;
-}
-
 }  // namespace gpf::align

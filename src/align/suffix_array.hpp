@@ -18,9 +18,4 @@ namespace gpf::align {
 std::vector<std::uint32_t> build_suffix_array(
     std::span<const std::uint8_t> text);
 
-/// Computes the Burrows-Wheeler transform from a suffix array:
-/// bwt[i] = text[sa[i] - 1] (wrapping to the last character).
-std::vector<std::uint8_t> bwt_from_suffix_array(
-    std::span<const std::uint8_t> text, std::span<const std::uint32_t> sa);
-
 }  // namespace gpf::align

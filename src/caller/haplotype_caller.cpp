@@ -34,20 +34,21 @@ std::vector<VcfRecord> call_region(const ActiveRegion& region,
   if (stats != nullptr && assembly.assembled) ++stats->assembled_regions;
   if (assembly.haplotypes.size() < 2) return out;
 
-  // Pair-HMM likelihoods, each haplotype against all region reads at once
-  // (lane-batched at the SIMD levels, bit-identical to one call per pair).
+  // Pair-HMM likelihoods, every region read against every haplotype in one
+  // call (lane-batched at the SIMD levels with shared haplotype prefixes
+  // reused, bit-identical to one call per pair).
   PairHmm hmm(options.pairhmm);
   std::vector<HmmRead> hmm_reads;
   hmm_reads.reserve(reads.size());
   for (const auto* r : reads) hmm_reads.push_back({r->sequence, r->quality});
+  const std::vector<std::string_view> haps(assembly.haplotypes.begin(),
+                                           assembly.haplotypes.end());
+  std::vector<double> scores(reads.size() * haps.size());
+  hmm.log10_likelihoods(hmm_reads, haps, scores);
   LikelihoodMatrix likelihoods(reads.size());
-  for (auto& row : likelihoods) row.resize(assembly.haplotypes.size());
-  std::vector<double> column(reads.size());
-  for (std::size_t h = 0; h < assembly.haplotypes.size(); ++h) {
-    hmm.log10_likelihoods(hmm_reads, assembly.haplotypes[h], column);
-    for (std::size_t r = 0; r < reads.size(); ++r) {
-      likelihoods[r][h] = column[r];
-    }
+  for (std::size_t r = 0; r < reads.size(); ++r) {
+    likelihoods[r].assign(scores.begin() + r * haps.size(),
+                          scores.begin() + (r + 1) * haps.size());
   }
   if (stats != nullptr) stats->reads_processed += reads.size();
 

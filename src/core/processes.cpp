@@ -46,9 +46,8 @@ void record_stage(PipelineContext& ctx, std::string name, double seconds,
 
 // --- RegionBundle batch codec ----------------------------------------------
 
-std::vector<std::uint8_t> encode_bundle_batch(
-    std::span<const RegionBundle> bundles, Codec codec) {
-  ByteWriter w;
+void write_bundle_batch(ByteWriter& w, std::span<const RegionBundle> bundles,
+                        Codec codec) {
   w.u32(0x474e4442);  // "GNDB"
   w.uvarint(bundles.size());
   for (const auto& b : bundles) {
@@ -79,7 +78,22 @@ std::vector<std::uint8_t> encode_bundle_batch(
     w.uvarint(vcf.size());
     w.raw(std::span(vcf.data(), vcf.size()));
   }
+}
+
+std::vector<std::uint8_t> encode_bundle_batch(
+    std::span<const RegionBundle> bundles, Codec codec) {
+  ByteWriter w;
+  write_bundle_batch(w, bundles, codec);
   return w.take();
+}
+
+/// encode_bundle_batch into `out`'s storage (pooled shuffle buffers); the
+/// bytes are identical.
+void encode_bundle_batch_into(std::span<const RegionBundle> bundles,
+                              Codec codec, std::vector<std::uint8_t>& out) {
+  ByteWriter w(std::move(out));
+  write_bundle_batch(w, bundles, codec);
+  out = w.take();
 }
 
 std::vector<RegionBundle> decode_bundle_batch(
@@ -127,6 +141,9 @@ engine::ShuffleCodec<RegionBundle> make_bundle_codec(Codec codec) {
       },
       [codec](std::span<const std::uint8_t> bytes) {
         return decode_bundle_batch(bytes, codec);
+      },
+      [codec](std::span<const RegionBundle> b, std::vector<std::uint8_t>& out) {
+        encode_bundle_batch_into(b, codec, out);
       },
   };
 }

@@ -248,19 +248,15 @@ std::optional<std::vector<std::uint8_t>> FaultInjector::corrupted_copy(
         !matches_task(rule.block, block)) {
       continue;
     }
-    std::vector<std::uint8_t> out(bytes.begin(), bytes.end());
-    if (out.empty()) {
-      // An empty block corrupts to spurious bytes the checksum rejects.
-      out.push_back(0xa5);
-    } else {
-      const std::uint64_t h =
-          mix(seed_ ^ mix((r + 1) * 0x2545f4914f6cdd1dULL + ordinal) ^
-              (map_task << 20) ^ block ^
-              static_cast<std::uint64_t>(attempt + 2));
-      out[h % out.size()] ^= 0xa5;
-      out[0] ^= 0xff;
-    }
     ++corruptions_;
+    // An empty block corrupts to spurious bytes the checksum rejects.
+    if (bytes.empty()) return std::vector<std::uint8_t>{0xa5};
+    std::vector<std::uint8_t> out(bytes.begin(), bytes.end());
+    const std::uint64_t h =
+        mix(seed_ ^ mix((r + 1) * 0x2545f4914f6cdd1dULL + ordinal) ^
+            (map_task << 20) ^ block ^ static_cast<std::uint64_t>(attempt + 2));
+    out[h % out.size()] ^= 0xa5;
+    out[0] ^= 0xff;
     return out;
   }
   return std::nullopt;

@@ -3,7 +3,11 @@
 namespace gpf::store {
 
 std::string shuffle_block_column(std::size_t reduce_part) {
-  return "b" + std::to_string(reduce_part);
+  // Appended, not "b" + string: GCC 12 flags that form's inlined insert
+  // with a false -Wrestrict (GCC bug 105329).
+  std::string column = "b";
+  column += std::to_string(reduce_part);
+  return column;
 }
 
 std::string shuffle_chunk_name(std::uint64_t shuffle, std::size_t map_task) {

@@ -54,19 +54,6 @@ TEST(SuffixArray, EmptyText) {
   EXPECT_TRUE(build_suffix_array({}).empty());
 }
 
-TEST(SuffixArray, BwtFollowsDefinition) {
-  const std::string s = "mississippi";
-  std::vector<std::uint8_t> text(s.begin(), s.end());
-  text.push_back(0);
-  const auto sa = build_suffix_array(text);
-  const auto bwt = bwt_from_suffix_array(text, sa);
-  for (std::size_t i = 0; i < sa.size(); ++i) {
-    const std::uint8_t expected =
-        sa[i] == 0 ? text.back() : text[sa[i] - 1];
-    EXPECT_EQ(bwt[i], expected);
-  }
-}
-
 // --- FM-index ------------------------------------------------------------------
 
 Reference small_reference() {

@@ -241,9 +241,10 @@ TEST(PairHmm, LongReadNoUnderflow) {
 
 // --- lane-batched pair-HMM ---------------------------------------------------
 //
-// log10_likelihoods scores a haplotype against many reads, one read per SIMD
-// lane.  Every lane must reproduce the scalar kernel's double bit for bit,
-// at every dispatch level this CPU supports.
+// log10_likelihoods scores a region's haplotypes against many reads, one
+// read per SIMD lane, resuming each haplotype after the prefix it shares
+// with the one scored before it.  Every score must reproduce the scalar
+// kernel's double bit for bit, at every dispatch level this CPU supports.
 
 std::vector<simd::Level> supported_levels() {
   std::vector<simd::Level> levels = {simd::Level::kScalar};
@@ -269,32 +270,66 @@ std::string random_quals(Rng& rng, std::size_t n) {
   return q;
 }
 
-/// Batched scores at every supported level must equal the scalar kernel's,
-/// compared as bit patterns.
+/// Region scores at every supported level must equal one scalar-kernel
+/// call per (read, haplotype) pair, compared as bit patterns.  Returns the
+/// batched kernel's cell counts at the highest level.
+PairHmmCells expect_region_bit_identical(const std::vector<std::string>& bases,
+                                         const std::vector<std::string>& quals,
+                                         const std::vector<std::string>& haps,
+                                         const std::string& label,
+                                         PairHmmOptions options = {}) {
+  std::vector<HmmRead> reads;
+  for (std::size_t r = 0; r < bases.size(); ++r) {
+    reads.push_back({bases[r], quals[r]});
+  }
+  const std::vector<std::string_view> views(haps.begin(), haps.end());
+  PairHmm scalar(options);
+  std::vector<double> expected(reads.size() * haps.size());
+  for (std::size_t r = 0; r < reads.size(); ++r) {
+    for (std::size_t h = 0; h < haps.size(); ++h) {
+      expected[r * haps.size() + h] =
+          scalar.log10_likelihood(bases[r], quals[r], haps[h]);
+    }
+  }
+  PairHmmCells cells;
+  for (const simd::Level level : supported_levels()) {
+    PairHmm batched(options);
+    std::vector<double> got(expected.size(), 1.0);
+    batched.log10_likelihoods_at(level, reads, views, got);
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+                std::bit_cast<std::uint64_t>(expected[i]))
+          << label << " level " << simd::level_name(level) << " read "
+          << i / haps.size() << " haplotype " << i % haps.size() << ": "
+          << got[i] << " vs " << expected[i];
+    }
+    cells = batched.cells();
+  }
+  return cells;
+}
+
 void expect_batch_bit_identical(const std::vector<std::string>& bases,
                                 const std::vector<std::string>& quals,
                                 const std::string& hap,
                                 const std::string& label,
                                 PairHmmOptions options = {}) {
-  std::vector<HmmRead> reads;
-  for (std::size_t r = 0; r < bases.size(); ++r) {
-    reads.push_back({bases[r], quals[r]});
-  }
-  PairHmm scalar(options);
-  std::vector<double> expected(reads.size());
-  for (std::size_t r = 0; r < reads.size(); ++r) {
-    expected[r] = scalar.log10_likelihood(bases[r], quals[r], hap);
-  }
-  for (const simd::Level level : supported_levels()) {
-    PairHmm batched(options);
-    std::vector<double> got(reads.size(), 1.0);
-    batched.log10_likelihoods_at(level, reads, hap, got);
-    for (std::size_t r = 0; r < reads.size(); ++r) {
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(got[r]),
-                std::bit_cast<std::uint64_t>(expected[r]))
-          << label << " level " << simd::level_name(level) << " read " << r
-          << ": " << got[r] << " vs " << expected[r];
-    }
+  expect_region_bit_identical(bases, quals, {hap}, label, options);
+}
+
+bool has_simd() { return supported_levels().size() > 1; }
+
+/// `count` reads of `len` bases drawn from `haps` (round robin), each
+/// with a substitution at a random base, and random qualities.
+void sample_reads(Rng& rng, const std::vector<std::string>& haps,
+                  std::size_t count, std::size_t len,
+                  std::vector<std::string>& bases,
+                  std::vector<std::string>& quals) {
+  for (std::size_t r = 0; r < count; ++r) {
+    const std::string& src = haps[r % haps.size()];
+    std::string b = src.substr(rng.below(src.size() - len + 1), len);
+    b[rng.below(len)] = "ACGT"[rng.below(4)];
+    bases.push_back(std::move(b));
+    quals.push_back(random_quals(rng, len));
   }
 }
 
@@ -405,15 +440,16 @@ TEST(PairHmmBatch, EmptyHaplotypeAndLengthMismatch) {
   const std::vector<std::string> bases = {"ACGT", "AC"};
   const std::vector<std::string> quals = {"IIII", "II"};
   expect_batch_bit_identical(bases, quals, "", "empty haplotype");
+  const std::vector<std::string_view> hap = {"ACGTACGT"};
   for (const simd::Level level : supported_levels()) {
     PairHmm hmm;
     const std::vector<HmmRead> bad = {{"ACGT", "IIII"}, {"ACGT", "II"}};
     std::vector<double> out(bad.size());
-    EXPECT_THROW(hmm.log10_likelihoods_at(level, bad, "ACGTACGT", out),
+    EXPECT_THROW(hmm.log10_likelihoods_at(level, bad, hap, out),
                  std::invalid_argument)
         << simd::level_name(level);
     std::vector<double> short_out(1);
-    EXPECT_THROW(hmm.log10_likelihoods_at(level, {}, "ACGT", short_out),
+    EXPECT_THROW(hmm.log10_likelihoods_at(level, {}, hap, short_out),
                  std::invalid_argument)
         << simd::level_name(level);
   }
@@ -436,8 +472,232 @@ TEST(PairHmmBatch, CallRegionLikelihoodsMatchPerPairCalls) {
     bases.push_back(std::move(b));
     quals.push_back(random_quals(rng, 100));
   }
-  expect_batch_bit_identical(bases, quals, ref_hap, "region ref");
-  expect_batch_bit_identical(bases, quals, alt_hap, "region alt");
+  expect_region_bit_identical(bases, quals, {ref_hap, alt_hap}, "region");
+}
+
+// --- haplotype-prefix reuse ------------------------------------------------
+
+TEST(PairHmmRegion, SharedPrefixOfEveryLength) {
+  Rng rng(5201);
+  const std::string base = random_read(rng, 200, "ACGT");
+  auto changed_at = [&base](std::size_t at) {
+    std::string h = base;
+    h[at] = h[at] == 'A' ? 'C' : 'A';
+    return h;
+  };
+  // Same-length neighbours sharing 0, 1, 100 and all 200 bases, plus a
+  // haplotype that is a prefix of another (lengths differ, so its initial
+  // mass 1/n differs and nothing is reused across it).
+  const std::vector<std::string> haps = {
+      base,          changed_at(0),           changed_at(1),
+      changed_at(100), base,                  base.substr(0, 150),
+      base + "ACGT", changed_at(199),         changed_at(100)};
+  std::vector<std::string> bases, quals;
+  sample_reads(rng, {base, changed_at(100), base + "ACGT"}, 11, 100, bases,
+               quals);
+  const PairHmmCells cells =
+      expect_region_bit_identical(bases, quals, haps, "prefix lengths");
+  if (has_simd()) {
+    EXPECT_GT(cells.resumed, 0u);
+  }
+  // Scored back to back: all 200 bases of the first are a prefix of the
+  // second.
+  expect_region_bit_identical(bases, quals, {base + "ACGT", base},
+                              "prefix of another");
+}
+
+TEST(PairHmmRegion, UnsortedInputOrder) {
+  // Two lengths interleaved, each group with mutations at random columns;
+  // the kernel scores them in sorted order and must map every score back
+  // to its input slot.
+  Rng rng(5202);
+  const std::string a = random_read(rng, 160, "ACGT");
+  const std::string b = random_read(rng, 171, "ACGT");
+  std::vector<std::string> haps;
+  for (int v = 0; v < 10; ++v) {
+    std::string h = v % 2 == 0 ? a : b;
+    if (v >= 2) h[rng.below(h.size())] = "ACGT"[rng.below(4)];
+    if (v % 3 == 0) h[rng.below(h.size())] = "ACGT"[rng.below(4)];
+    haps.push_back(std::move(h));
+  }
+  std::vector<std::string> bases, quals;
+  sample_reads(rng, haps, 13, 90, bases, quals);
+  const PairHmmCells cells =
+      expect_region_bit_identical(bases, quals, haps, "unsorted");
+  if (has_simd()) {
+    EXPECT_GT(cells.resumed, 0u);
+  }
+}
+
+TEST(PairHmmRegion, LongHaplotypes) {
+  // 650 bases: past where one DP row per state fills a 48 KiB L1d.
+  Rng rng(5203);
+  const std::string base = random_read(rng, 650, "ACGT");
+  std::vector<std::string> haps = {base};
+  for (const std::size_t at : {300, 500, 640, 20}) {
+    std::string h = base;
+    h[at] = h[at] == 'G' ? 'T' : 'G';
+    haps.push_back(std::move(h));
+  }
+  haps.push_back(base.substr(0, 610) + "ACGTTGCA" + base.substr(610, 32));
+  std::vector<std::string> bases, quals;
+  sample_reads(rng, haps, 9, 150, bases, quals);
+  expect_region_bit_identical(bases, quals, haps, "long");
+}
+
+TEST(PairHmmRegion, RescaleDiffersBetweenPrefixNeighbours) {
+  // Haplotypes P + S1 and P + S2 share P.  A high-quality read drawn from
+  // one suffix never rescales under its own haplotype and falls below the
+  // rescale threshold under the other, so the second of the two passes
+  // rescales a lane the first did not, or skips one the first rescaled.
+  // S1 sorts first, so reads from S1 test one direction and reads from
+  // S2 the other.
+  Rng rng(5204);
+  const std::string prefix = random_read(rng, 120, "ACGT");
+  const std::string s1 = "A" + random_read(rng, 279, "ACGT");
+  const std::string s2 = "T" + random_read(rng, 279, "ACGT");
+  const std::vector<std::string> haps = {prefix + s2, prefix + s1};
+  for (const std::string* suffix : {&s1, &s2}) {
+    std::vector<std::string> bases, quals;
+    for (int r = 0; r < 6; ++r) {
+      const std::size_t len = 170 + rng.below(60);
+      bases.push_back(suffix->substr(rng.below(279 - len), len));
+      quals.push_back(std::string(len, 'J'));
+    }
+    // One lane that matches the shared prefix instead.
+    bases.push_back(prefix.substr(10, 100) + random_read(rng, 80, "ACGT"));
+    quals.push_back(std::string(180, 'J'));
+    expect_region_bit_identical(bases, quals, haps,
+                                suffix == &s1 ? "reads from S1"
+                                              : "reads from S2");
+  }
+}
+
+TEST(PairHmmRegion, RescaleSharedWithPrefixNeighbour) {
+  // Random high-quality reads rescale on many rows.  Haplotypes that differ
+  // only in their last bases put the row max in the shared prefix, so both
+  // rescale the same lanes on the same rows and the second one resumes
+  // across rescaled rows.
+  Rng rng(5208);
+  const std::string base = random_read(rng, 300, "ACGT");
+  std::vector<std::string> haps = {base};
+  for (const std::size_t at : {297, 299, 290}) {
+    std::string h = base;
+    h[at] = h[at] == 'A' ? 'G' : 'A';
+    haps.push_back(std::move(h));
+  }
+  std::vector<std::string> bases, quals;
+  for (int r = 0; r < 9; ++r) {
+    const std::size_t len = 150 + rng.below(100);
+    bases.push_back(random_read(rng, len, "ACGT"));
+    quals.push_back(std::string(len, 'J'));
+  }
+  const PairHmmCells cells =
+      expect_region_bit_identical(bases, quals, haps, "shared rescale");
+  if (has_simd()) {
+    EXPECT_GT(cells.resumed, cells.computed);
+  }
+}
+
+TEST(PairHmmRegion, PerLaneUnderflowAcrossHaplotypes) {
+  // No gap transitions: only the match diagonals carry mass.  Reads longer
+  // than the haplotypes run out of columns and score -300 lane by lane.
+  // The haplotypes share a 100-base prefix that the first reads match;
+  // every diagonal through the random suffixes underflows to exactly 0
+  // there, so those rows' maximum lives in the shared prefix alone.
+  PairHmmOptions options;
+  options.gap_open = 0.0;
+  options.gap_extend = 0.0;
+  Rng rng(5205);
+  const std::string prefix = random_read(rng, 100, "ACGT");
+  std::vector<std::string> haps;
+  for (int v = 0; v < 3; ++v) {
+    haps.push_back(prefix + random_read(rng, 110, "ACGT"));
+  }
+  std::vector<std::string> bases, quals;
+  for (int r = 0; r < 3; ++r) {
+    bases.push_back(prefix.substr(r, 100 - r));
+    quals.push_back(std::string(100 - r, 'J'));
+  }
+  for (const std::size_t len : {211, 60, 230, 210, 5, 250}) {
+    bases.push_back(random_read(rng, len, "ACGT"));
+    quals.push_back(random_quals(rng, len));
+  }
+  expect_region_bit_identical(bases, quals, haps, "underflow", options);
+  PairHmm hmm(options);
+  EXPECT_EQ(hmm.log10_likelihood(bases[3], quals[3], haps[0]), -300.0);
+  EXPECT_GT(hmm.log10_likelihood(bases[0], quals[0], haps[0]), -300.0);
+
+  // A batch whose every lane underflows ends its pass early; the next
+  // haplotype must not resume from boundaries that pass never stored.
+  std::vector<std::string> long_bases, long_quals;
+  for (const std::size_t len : {240, 260, 215, 300}) {
+    long_bases.push_back(random_read(rng, len, "ACGT"));
+    long_quals.push_back(random_quals(rng, len));
+  }
+  expect_region_bit_identical(long_bases, long_quals, haps, "all underflow",
+                              options);
+}
+
+TEST(PairHmmRegion, NoResumeAfterAPassThatStoppedEarly) {
+  // A = P + x + R[0, 100) and B = P + y + R[0, 150) + z share the 150-base
+  // prefix P.  With no gap transitions, read R[0, 150) at Phred 93 keeps
+  // mass under A only on the diagonal that ends at A's last column, so
+  // every lane underflows on row 101 and A's pass stops there.  Under B
+  // the read matches all 150 rows.  The batch before it (reads from P)
+  // stored nonzero prefix boundaries and partial sums on rows 102..150,
+  // which B must not resume from.
+  PairHmmOptions options;
+  options.gap_open = 0.0;
+  options.gap_extend = 0.0;
+  Rng rng(5209);
+  const std::string p = random_read(rng, 150, "ACGT");
+  const std::string r = random_read(rng, 150, "ACGT");
+  const std::string a = p + "A" + random_read(rng, 69, "ACGT") + r.substr(0, 100);
+  const std::string b = p + "C" + random_read(rng, 8, "ACGT") + r +
+                        random_read(rng, 11, "ACGT");
+  ASSERT_EQ(a.size(), b.size());
+  std::vector<std::string> bases(4, p);
+  bases.push_back(r);
+  const std::vector<std::string> quals(bases.size(), std::string(150, '~'));
+  PairHmm hmm(options);
+  ASSERT_EQ(hmm.log10_likelihood(r, quals[4], a), -300.0);
+  ASSERT_GT(hmm.log10_likelihood(r, quals[4], b), -300.0);
+  expect_region_bit_identical(bases, quals, {a, b}, "early stop", options);
+}
+
+TEST(PairHmmRegion, RaggedReadLengths) {
+  // Lanes end on different rows, so the partial free-end sums are stored
+  // and resumed at several rows of one batch.
+  Rng rng(5206);
+  const std::string base = random_read(rng, 150, "ACGT");
+  std::vector<std::string> haps = {base};
+  for (const std::size_t at : {75, 140, 30}) {
+    std::string h = base;
+    h[at] = h[at] == 'C' ? 'G' : 'C';
+    haps.push_back(std::move(h));
+  }
+  std::vector<std::string> bases, quals;
+  for (const std::size_t len : {100, 37, 1, 100, 64, 99, 12, 150, 2, 73, 100}) {
+    const std::string& src = haps[rng.below(haps.size())];
+    bases.push_back(src.substr(rng.below(src.size() - len + 1), len));
+    quals.push_back(random_quals(rng, len));
+  }
+  bases.push_back("");
+  quals.push_back("");
+  expect_region_bit_identical(bases, quals, haps, "ragged");
+}
+
+TEST(PairHmmRegion, EmptyHaplotypeInTheSet) {
+  Rng rng(5207);
+  const std::string base = random_read(rng, 120, "ACGT");
+  std::string alt = base;
+  alt[60] = alt[60] == 'T' ? 'A' : 'T';
+  const std::vector<std::string> haps = {"", base, "", alt};
+  std::vector<std::string> bases, quals;
+  sample_reads(rng, {base, alt}, 7, 80, bases, quals);
+  expect_region_bit_identical(bases, quals, haps, "empty haplotype");
+  expect_region_bit_identical(bases, quals, {"", ""}, "only empty");
 }
 
 // --- genotyper ------------------------------------------------------------------

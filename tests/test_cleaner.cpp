@@ -58,8 +58,9 @@ TEST(Sorter, MergeSortedRuns) {
   std::size_t total = 0;
   for (auto& run : runs) {
     for (int i = 0; i < 50; ++i) {
-      run.push_back(make_record("r" + std::to_string(total++), 0,
-                                static_cast<std::int64_t>(rng.below(10000))));
+      run.push_back(
+          make_record(std::string("r").append(std::to_string(total++)), 0,
+                      static_cast<std::int64_t>(rng.below(10000))));
     }
     coordinate_sort(run);
   }
@@ -71,7 +72,8 @@ TEST(Sorter, MergeSortedRuns) {
 TEST(Sorter, LinearIndexFindsCandidates) {
   std::vector<SamRecord> records;
   for (int i = 0; i < 100; ++i) {
-    records.push_back(make_record("r" + std::to_string(i), 0, i * 1000));
+    records.push_back(
+        make_record(std::string("r").append(std::to_string(i)), 0, i * 1000));
   }
   coordinate_sort(records);
   const LinearIndex index(records, 1);
@@ -371,7 +373,8 @@ TEST(Bqsr, ApplyCorrectsInflatedQualities) {
         c = nc;
       }
     }
-    auto rec = make_record("r" + std::to_string(i), 0, i * 150, false, seq);
+    auto rec = make_record(std::string("r").append(std::to_string(i)), 0,
+                           i * 150, false, seq);
     rec.quality = std::string(100, static_cast<char>(33 + 40));
     rec.cigar = {{CigarOp::kMatch, 100}};
     records.push_back(std::move(rec));
